@@ -13,6 +13,8 @@ Library layout:
 - `cli`         command-line pipeline and figure/trajectory emission
 """
 
+__version__ = "0.1.0"
+
 from .algebra import (
     AdjointSpectrum,
     KillingClassification,
@@ -76,5 +78,3 @@ from .thermal import (
     secular_dipolar_hamiltonian,
     zeeman_hamiltonian,
 )
-
-__version__ = "0.1.0"

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     LinearlyDependentBasis,
+    NonHermitianGenerator,
     NotClosed,
     NotEigenoperator,
     NotHermitianTriple,
@@ -67,6 +68,17 @@ class OperatorMatrix:
 def _deviation_from(a: np.ndarray, b: np.ndarray) -> float:
     scale = max(1.0, float(np.linalg.norm(a)))
     return float(np.linalg.norm(a - b)) / scale
+
+
+def _check_hermitian(
+    mat: np.ndarray,
+    tol: float = 1e-10,
+    error: type[Exception] = NonHermitianGenerator,
+) -> None:
+    """Raise `error` when mat deviates from mat^dag by more than `tol` (relative)."""
+    dev = _deviation_from(mat, mat.conj().T)
+    if dev > tol:
+        raise error(f"relative Hermiticity deviation {dev:.3e}")
 
 
 def as_matrix(op) -> np.ndarray:
@@ -153,9 +165,11 @@ class SectorBasis:
     """Ordered operator basis with its measured structure constants.
 
     `structure_constants[i, j, k]` is the coefficient of element k in
-    [e_i, e_j].  For an abstract basis (built from the defining bracket
-    relations rather than matrices) `elements` is None and only the constants and
-    labels are populated.
+    [e_i, e_j].  `closure_residual` is the worst out-of-span part of any
+    commutator relative to max(1, ||[e_i, e_j]||_F), so it does not grow
+    with the scale of the basis.  For an abstract basis (built from the
+    defining bracket relations rather than matrices) `elements` is None and
+    only the constants and labels are populated.
     """
 
     structure_constants: np.ndarray
@@ -191,8 +205,9 @@ def measure_structure_constants(
     """Project every pairwise commutator onto the span of `elements`.
 
     The constants are measured from the concrete matrices, not assumed,
-    and the worst-case out-of-span Frobenius residual is recorded so the
-    caller can decide whether the set actually closes.
+    and the worst-case out-of-span Frobenius residual, divided by
+    max(1, ||[e_i, e_j]||_F), is recorded so the caller can decide whether
+    the set actually closes at any scale of the elements.
 
     Raises LinearlyDependentBasis when the Gram matrix condition number
     exceeds 1e10.
@@ -223,7 +238,8 @@ def measure_structure_constants(
             coeff, *_ = np.linalg.lstsq(basis_mat, com.reshape(-1), rcond=None)
             c[i, j, :] = coeff
             outside = com - (basis_mat @ coeff).reshape(dim, dim)
-            worst = max(worst, float(np.linalg.norm(outside)))
+            scale = max(1.0, float(np.linalg.norm(com)))
+            worst = max(worst, float(np.linalg.norm(outside)) / scale)
 
     c = (c - np.swapaxes(c, 0, 1)) / 2.0  # commutator antisymmetry, exact
     orders: list[int | None] = []
@@ -324,6 +340,13 @@ def triple_kappa(basis: SectorBasis) -> float:
     return float(f[0, 1, 2])
 
 
+def _require_closed(basis: SectorBasis, closure_tol: float) -> None:
+    if basis.closure_residual > closure_tol:
+        raise NotClosed(
+            f"closure residual {basis.closure_residual:.3e} exceeds {closure_tol:.1e}"
+        )
+
+
 @dataclass(frozen=True)
 class KillingClassification:
     """Signature data of the contracted f-tensor metric."""
@@ -345,10 +368,7 @@ def killing_classify(
     the compact case regardless of overall sign convention; an indefinite
     one the non-compact case; any zero eigenvalue the degenerate case.
     """
-    if basis.closure_residual > closure_tol:
-        raise NotClosed(
-            f"closure residual {basis.closure_residual:.3e} exceeds {closure_tol:.1e}"
-        )
+    _require_closed(basis, closure_tol)
     f = real_structure_constants(basis)
     g = np.einsum("acd,bdc->ab", f, f)
     g = (g + g.T) / 2.0
@@ -387,10 +407,7 @@ def heisenberg_flow_spectrum(
     eigenvalue means hyperbolic growth along some direction.  The real/
     imaginary tests use tolerance 1e-9 * ||h||.
     """
-    if basis.closure_residual > closure_tol:
-        raise NotClosed(
-            f"closure residual {basis.closure_residual:.3e} exceeds {closure_tol:.1e}"
-        )
+    _require_closed(basis, closure_tol)
     f = real_structure_constants(basis)
     hv = np.asarray(h, dtype=float)
     if hv.shape != (basis.size,):

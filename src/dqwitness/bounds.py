@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
 from typing import Literal, NamedTuple
 
 import numpy as np
 
 from .constants import HBAR, K_BOLTZMANN
-from .errors import NegativeAmplitude
+from .errors import NegativeAmplitude, NonFiniteValue
 
 GateStatus = Literal["stable", "unstable", "not_evaluated"]
 Verdict = Literal["classically_inexplicable", "not_excluded", "loophole_open"]
@@ -50,6 +50,9 @@ class PhysicalParams:
     omega_0: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not isfinite(value):
+                raise NonFiniteValue(f"{name} must be finite, got {value}")
         positive = {
             "omega_d": self.omega_d,
             "temperature": self.temperature,
@@ -177,6 +180,8 @@ def witness(
     non-positive witness excludes nothing.
     """
     _check_gate_status(gate_status)
+    if not isfinite(f_dq_measured):
+        raise NonFiniteValue(f"measured fraction must be finite, got {f_dq_measured}")
     if f_dq_measured < 0:
         raise NegativeAmplitude(f"measured fraction must be >= 0, got {f_dq_measured}")
     eps = epsilon_th(params)

@@ -22,10 +22,11 @@ import json
 import sys
 from math import pi
 from pathlib import Path
-from typing import TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
+from . import __version__
 from .algebra import build_two_spin_operators
 from .bounds import (
     PhysicalParams,
@@ -47,7 +48,6 @@ from .measurement import (
 from .thermal import DensityMatrix, OpenTrajectory, default_thermal_model, evolve_master
 
 TOOL_NAME = "dqwitness"
-TOOL_VERSION = "0.1.0"
 
 CONFIG_KEYS = (
     "omega_d_hz",
@@ -161,7 +161,7 @@ def build_report(
     f_dq_peak = float(series.f_dq[peak_index])
     report = witness(f_dq_peak, params, gate.status)
     doc = {
-        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+        "tool": {"name": TOOL_NAME, "version": __version__},
         "parameters": _params_echo(params),
         "gate": {
             "status": gate.status,
@@ -221,36 +221,32 @@ def _open_destination(destination) -> tuple[TextIO, bool]:
     return open(destination, "w", encoding="utf-8", newline=""), True
 
 
-def _write_columns(stream: TextIO, header: list[str], columns: list[np.ndarray]) -> None:
-    stream.write(",".join(header) + "\n")
-    for row in zip(*columns):
-        stream.write(",".join(repr(float(v)) for v in row) + "\n")
+def _write_csv(destination, header: list[str], columns: Sequence[np.ndarray]) -> None:
+    """One header line, then one row of repr-exact floats per sample."""
+    stream, owned = _open_destination(destination)
+    try:
+        stream.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            stream.write(",".join(repr(float(v)) for v in row) + "\n")
+    finally:
+        if owned:
+            stream.close()
 
 
 def write_trajectory_csv(traj: Trajectory, destination) -> None:
     """Columns: time_s, then one column per observable."""
-    stream, owned = _open_destination(destination)
-    try:
-        keys = list(traj.expectations)
-        columns = [traj.times] + [np.real(traj.expectations[k]) for k in keys]
-        _write_columns(stream, ["time_s"] + keys, columns)
-    finally:
-        if owned:
-            stream.close()
+    keys = list(traj.expectations)
+    columns = [traj.times] + [np.real(traj.expectations[k]) for k in keys]
+    _write_csv(destination, ["time_s"] + keys, columns)
 
 
 def write_open_trajectory_csv(traj: OpenTrajectory, destination) -> None:
     """Columns: time_s, relative_entropy, dq_amplitude, pair_correlation."""
-    stream, owned = _open_destination(destination)
-    try:
-        _write_columns(
-            stream,
-            ["time_s", "relative_entropy", "dq_amplitude", "pair_correlation"],
-            [traj.times, traj.relative_entropies, traj.dq_amplitudes, traj.pair_correlations],
-        )
-    finally:
-        if owned:
-            stream.close()
+    _write_csv(
+        destination,
+        ["time_s", "relative_entropy", "dq_amplitude", "pair_correlation"],
+        [traj.times, traj.relative_entropies, traj.dq_amplitudes, traj.pair_correlations],
+    )
 
 
 def zq_exchange_trajectory(
@@ -320,13 +316,7 @@ def emit_figure_data(kind: str, params: PhysicalParams, destination, **options) 
     Keyword options are forwarded to the corresponding builder.
     """
     if kind == "bpp_curve":
-        x, y = bpp_curve()
-        stream, owned = _open_destination(destination)
-        try:
-            _write_columns(stream, ["x", "j_normalized"], [x, y])
-        finally:
-            if owned:
-                stream.close()
+        _write_csv(destination, ["x", "j_normalized"], bpp_curve())
     elif kind == "zq_signal":
         write_trajectory_csv(zq_exchange_trajectory(**options), destination)
     elif kind == "dq_signal":
@@ -393,13 +383,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "bounds":
             params = resolve_params(args)
+            eps, eta = epsilon_th(params), eta_seq(params)
             doc = {
-                "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+                "tool": {"name": TOOL_NAME, "version": __version__},
                 "parameters": _params_echo(params),
                 "bounds": {
-                    "epsilon_th": epsilon_th(params),
-                    "eta_seq": eta_seq(params),
-                    "f_class_max": epsilon_th(params) + eta_seq(params),
+                    "epsilon_th": eps,
+                    "eta_seq": eta,
+                    "f_class_max": eps + eta,
                     "hbar_omega_d_joule": dipolar_energy(params),
                 },
             }

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import OperatorMatrix, as_matrix
+from .algebra import OperatorMatrix, _check_hermitian, as_matrix
 from .errors import (
     AmbiguousGrowth,
     DimensionMismatch,
@@ -85,11 +85,18 @@ class Trajectory:
         object.__setattr__(self, "expectations", exp)
 
 
-def _hermitian_or_raise(mat: np.ndarray, tol: float = 1e-10) -> None:
-    scale = max(1.0, float(np.linalg.norm(mat)))
-    dev = float(np.linalg.norm(mat - mat.conj().T)) / scale
-    if dev > tol:
-        raise NonHermitianGenerator(f"relative Hermiticity deviation {dev:.3e}")
+def _spectral_states(h: np.ndarray, psi0: np.ndarray, tgrid: np.ndarray) -> np.ndarray:
+    """Columns exp(-iHt)|psi0> for every t, from one eigendecomposition of H.
+
+    Raises NonHermitianGenerator when any state's norm drifts beyond 1e-10.
+    """
+    evals, evecs = np.linalg.eigh(h)
+    coeff = evecs.conj().T @ psi0
+    states = evecs @ (np.exp(-1j * np.outer(evals, tgrid)) * coeff[:, None])
+    drift = float(np.abs(np.linalg.norm(states, axis=0) - 1.0).max(initial=0.0))
+    if drift > 1e-10:
+        raise NonHermitianGenerator(f"norm drift {drift:.3e} during propagation")
+    return states
 
 
 def propagate(
@@ -106,7 +113,7 @@ def propagate(
     NonHermitianGenerator / DimensionMismatch on bad inputs.
     """
     h = as_matrix(hamiltonian)
-    _hermitian_or_raise(h)
+    _check_hermitian(h)
     dim = h.shape[0]
     if psi0.dim != dim:
         raise DimensionMismatch(f"state dim {psi0.dim} vs generator dim {dim}")
@@ -115,17 +122,8 @@ def propagate(
         raise DimensionMismatch("observable dimension differs from generator")
 
     tgrid = np.asarray(times, dtype=float).reshape(-1)
-    evals, evecs = np.linalg.eigh(h)
-    coeff = evecs.conj().T @ psi0.amplitudes
-
-    values = np.empty((len(obs), tgrid.size), dtype=complex)
-    for it, t in enumerate(tgrid):
-        psi = evecs @ (np.exp(-1j * evals * t) * coeff)
-        drift = abs(float(np.linalg.norm(psi)) - 1.0)
-        if drift > 1e-10:
-            raise NonHermitianGenerator(f"norm drift {drift:.3e} during propagation")
-        for io, o in enumerate(obs):
-            values[io, it] = np.vdot(psi, o @ psi)
+    states = _spectral_states(h, psi0.amplitudes, tgrid)
+    values = [np.sum(states.conj() * (o @ states), axis=0) for o in obs]
 
     labels = [
         ob.label if isinstance(ob, OperatorMatrix) and ob.label else f"op{i}"
@@ -185,16 +183,9 @@ def vacuum_state(rep: Su11Rep) -> StateVector:
 def _vacuum_pair_run(rep: Su11Rep, g: float, tgrid: np.ndarray):
     """Evolve the vacuum under g(K+ + K-); return (signal, top-level tails)."""
     h = g * (rep.k_plus.entries + rep.k_minus.entries)
-    evals, evecs = np.linalg.eigh(h)
-    coeff = evecs.conj().T @ vacuum_state(rep).amplitudes
-    k0 = rep.k_zero.entries
-    signal = np.empty(tgrid.size)
-    tails = np.empty(tgrid.size)
-    for it, t in enumerate(tgrid):
-        psi = evecs @ (np.exp(-1j * evals * t) * coeff)
-        signal[it] = float(np.vdot(psi, k0 @ psi).real) - rep.k
-        tails[it] = float(abs(psi[-1]) ** 2)
-    return signal, tails
+    populations = np.abs(_spectral_states(h, vacuum_state(rep).amplitudes, tgrid)) ** 2
+    signal = rep.k_zero.entries.diagonal().real @ populations - rep.k
+    return signal, populations[-1]
 
 
 def hyperbolic_signal(

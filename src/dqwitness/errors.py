@@ -91,6 +91,10 @@ class NegativeValue(DqwitnessError):
     """Row value violates a sign or range constraint."""
 
 
+class NonFiniteValue(DqwitnessError):
+    """NaN or infinity where a finite number is required."""
+
+
 class InsufficientRows(DqwitnessError):
     """Stability gate needs at least three rows."""
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 from typing import TextIO
 
@@ -23,6 +24,7 @@ from .errors import (
     InsufficientRows,
     MalformedHeader,
     NegativeValue,
+    NonFiniteValue,
     NonMonotonicTime,
 )
 
@@ -108,6 +110,9 @@ def _ingest_stream(stream: TextIO) -> MeasurementSeries:
         except ValueError:
             skipped.append(f"line {line_no}: non-numeric field")
             continue
+        if not all(map(isfinite, values)):
+            name, value = next((n, v) for n, v in zip(header, values) if not isfinite(v))
+            raise NonFiniteValue(f"line {line_no}: {name} must be finite, got {value}")
         t, f_dq, t2 = values[:3]
         if f_dq < 0:
             raise NegativeValue(f"line {line_no}: f_dq must be >= 0, got {f_dq}")

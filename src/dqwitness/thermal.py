@@ -19,13 +19,12 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import OperatorMatrix, as_matrix, build_two_spin_operators
+from .algebra import OperatorMatrix, _check_hermitian, as_matrix, build_two_spin_operators
 from .constants import HBAR, K_BOLTZMANN
 from .errors import (
     CeilingPrecondition,
     DegenerateGrouping,
     DimensionMismatch,
-    NonHermitianGenerator,
     PositivityBreakdown,
     SupportViolation,
 )
@@ -36,6 +35,9 @@ DEFAULT_GROUPING_TOL = 1e-6  # rad/s
 SUPPORT_FLOOR = 1e-14
 CLIP_LIMIT = 1e-10
 BREAKDOWN_LIMIT = 1e-8
+
+_OPS = build_two_spin_operators()
+_PAIR_OP = _OPS["I1z"].entries @ _OPS["I2z"].entries
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,7 @@ class DensityMatrix:
         m = np.array(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        if float(np.linalg.norm(m - m.conj().T)) > 1e-12 * max(1.0, float(np.linalg.norm(m))):
-            raise ValueError("density matrix is not Hermitian")
+        _check_hermitian(m, 1e-12, ValueError)
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > 1e-12:
             raise ValueError(f"trace {tr} deviates from 1")
@@ -100,11 +101,11 @@ class LindbladModel:
 
     _evals: np.ndarray = field(init=False, repr=False, compare=False)
     _evecs: np.ndarray = field(init=False, repr=False, compare=False)
-    _eig_jumps: tuple = field(init=False, repr=False, compare=False)
+    _d_super: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = self.h_system.entries
-        _require_hermitian(h)
+        _check_hermitian(h)
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
         evals, evecs = np.linalg.eigh(h)
@@ -130,8 +131,9 @@ class LindbladModel:
                         f"is not an eigenoperator (residual {residual:.3e})"
                     )
             eig_jumps.append(evecs.conj().T @ a @ evecs)
-        object.__setattr__(self, "_eig_jumps", tuple(eig_jumps))
         _check_kms_pairs(self.jump_terms, self.beta)
+        rates = [t.rate for t in self.jump_terms]
+        object.__setattr__(self, "_d_super", _dissipator_superop(eig_jumps, rates, self.dim))
 
     @property
     def dim(self) -> int:
@@ -146,13 +148,6 @@ class LindbladModel:
     def kms_deviations(self) -> list[float]:
         """Relative detailed-balance deviation for every paired frequency."""
         return _kms_deviations(self.jump_terms, self.beta)
-
-
-def _require_hermitian(mat: np.ndarray, tol: float = 1e-10) -> None:
-    scale = max(1.0, float(np.linalg.norm(mat)))
-    dev = float(np.linalg.norm(mat - mat.conj().T)) / scale
-    if dev > tol:
-        raise NonHermitianGenerator(f"relative Hermiticity deviation {dev:.3e}")
 
 
 def _thermal_populations(evals: np.ndarray, beta: float) -> np.ndarray:
@@ -193,14 +188,7 @@ def _check_kms_pairs(terms: Sequence[JumpTerm], beta: float) -> None:
 
 def gibbs_state(h_system: OperatorMatrix, beta: float) -> DensityMatrix:
     """exp(-beta hbar H)/Z via eigendecomposition; beta in 1/J, H in rad/s."""
-    h = as_matrix(h_system)
-    _require_hermitian(h)
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    evals, evecs = np.linalg.eigh(h)
-    p = _thermal_populations(evals, beta)
-    rho = (evecs * p) @ evecs.conj().T
-    return DensityMatrix((rho + rho.conj().T) / 2.0)
+    return LindbladModel(OperatorMatrix(as_matrix(h_system)), (), beta).gibbs()
 
 
 def build_davies_model(
@@ -219,7 +207,7 @@ def build_davies_model(
     would lump frequencies farther apart than the tolerance.
     """
     h = as_matrix(h_system)
-    _require_hermitian(h)
+    _check_hermitian(h)
     evals, evecs = np.linalg.eigh(h)
     dim = h.shape[0]
 
@@ -243,12 +231,8 @@ def build_davies_model(
             for i, j, _ in members:
                 block[i, j] = a_eig[i, j]
             lab_op = evecs @ block @ evecs.conj().T
-            if omega > grouping_tol:
-                rate = base_rate
-            elif omega < -grouping_tol:
-                rate = base_rate * float(np.exp(beta * HBAR * omega))
-            else:
-                rate = base_rate
+            upward = omega < -grouping_tol
+            rate = base_rate * float(np.exp(beta * HBAR * omega)) if upward else base_rate
             terms.append(
                 JumpTerm(
                     operator=OperatorMatrix(lab_op, label=f"{label}@{omega:.6e}"),
@@ -357,15 +341,12 @@ def evolve_master(
     dim = model.dim
     w = model._evals
     v = model._evecs
-    d_super = _dissipator_superop(model._eig_jumps, [t.rate for t in model.jump_terms], dim)
     rho_th = model.gibbs()
 
     two_spin = dim == 4
     if two_spin:
-        ops = build_two_spin_operators()
-        kplus = ops["K+"].entries
-        pair_op = ops["I1z"].entries @ ops["I2z"].entries
-        pair_ref = float(np.trace(pair_op).real) / dim
+        kplus = _OPS["K+"].entries
+        pair_ref = float(np.trace(_PAIR_OP).real) / dim
 
     bohr = np.subtract.outer(w, w)
     prop_cache: dict[float, np.ndarray] = {}
@@ -379,7 +360,7 @@ def evolve_master(
         if it > 0:
             dt = float(tgrid[it] - tgrid[it - 1])
             if dt not in prop_cache:
-                prop_cache[dt] = expm(d_super * dt)
+                prop_cache[dt] = expm(model._d_super * dt)
             rho_eig = (prop_cache[dt] @ rho_eig.reshape(-1)).reshape(dim, dim)
             rho_eig = rho_eig * np.exp(-1j * bohr * dt)
         lab = _ensure_physical(v @ rho_eig @ v.conj().T)
@@ -388,7 +369,7 @@ def evolve_master(
         rel_ents[it] = relative_entropy(state, rho_th)
         if two_spin:
             dqs[it] = abs(complex(np.trace(lab @ kplus)))
-            pcs[it] = float(np.trace(lab @ pair_op).real) - pair_ref
+            pcs[it] = float(np.trace(lab @ _PAIR_OP).real) - pair_ref
     return OpenTrajectory(
         times=tgrid,
         states=tuple(states),
@@ -406,11 +387,7 @@ def apply_liouvillian(model: LindbladModel, rho: DensityMatrix | np.ndarray) -> 
     w, v = model._evals, model._evecs
     rho_eig = v.conj().T @ mat @ v
     out = -1j * np.subtract.outer(w, w) * rho_eig
-    for a, term in zip(model._eig_jumps, model.jump_terms):
-        ada = a.conj().T @ a
-        out += term.rate * (
-            a @ rho_eig @ a.conj().T - 0.5 * (ada @ rho_eig + rho_eig @ ada)
-        )
+    out += (model._d_super @ rho_eig.reshape(-1)).reshape(model.dim, model.dim)
     return v @ out @ v.conj().T
 
 
@@ -440,10 +417,8 @@ def relative_entropy(
 
 def pair_correlation(rho: DensityMatrix) -> float:
     """Longitudinal pair correlation tr(rho I1z I2z) relative to beta = 0."""
-    ops = build_two_spin_operators()
-    pair_op = ops["I1z"].entries @ ops["I2z"].entries
-    ref = float(np.trace(pair_op).real) / rho.dim
-    return float(np.trace(rho.entries @ pair_op).real) - ref
+    ref = float(np.trace(_PAIR_OP).real) / rho.dim
+    return float(np.trace(rho.entries @ _PAIR_OP).real) - ref
 
 
 @dataclass(frozen=True)
@@ -489,17 +464,15 @@ def ceiling_scan(
 
 def zeeman_hamiltonian(omega0: float) -> OperatorMatrix:
     """omega0 (I1z + I2z), rad/s."""
-    ops = build_two_spin_operators()
     return OperatorMatrix(
-        omega0 * (ops["I1z"].entries + ops["I2z"].entries), label="H_zeeman"
+        omega0 * (_OPS["I1z"].entries + _OPS["I2z"].entries), label="H_zeeman"
     )
 
 
 def secular_dipolar_hamiltonian(omega_d: float) -> OperatorMatrix:
     """omega_d (2 I1z I2z - (I1+ I2- + I1- I2+)/2), rad/s."""
-    ops = build_two_spin_operators()
-    flip_flop = ops["S+"].entries + ops["S-"].entries
-    mat = omega_d * (2.0 * ops["I1z"].entries @ ops["I2z"].entries - 0.5 * flip_flop)
+    flip_flop = _OPS["S+"].entries + _OPS["S-"].entries
+    mat = omega_d * (2.0 * _PAIR_OP - 0.5 * flip_flop)
     return OperatorMatrix(mat, label="H_dipolar")
 
 
@@ -510,10 +483,9 @@ def default_thermal_model(
     base_rate: float = 1.0,
 ) -> LindbladModel:
     """Zeeman + secular dipolar system with transverse single-spin couplings."""
-    ops = build_two_spin_operators()
     h = OperatorMatrix(
         zeeman_hamiltonian(omega0).entries + secular_dipolar_hamiltonian(omega_d).entries,
         label="H_system",
     )
     beta = 1.0 / (K_BOLTZMANN * temperature)
-    return build_davies_model(h, [(ops["I1x"], base_rate), (ops["I2x"], base_rate)], beta)
+    return build_davies_model(h, [(_OPS["I1x"], base_rate), (_OPS["I2x"], base_rate)], beta)

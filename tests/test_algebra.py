@@ -1,7 +1,10 @@
 """Operator catalog, measured structure constants, signatures, flow spectra."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqwitness.algebra import (
     OperatorMatrix,
@@ -242,3 +245,16 @@ class TestRepresentationAudit:
         assert kappa == triple_kappa(abstract_basis("su2"))
         assert kappa != triple_kappa(abstract_basis("su11"))
         assert killing_classify(measured).label == "compact"
+
+
+class TestScaleInvariance:
+    @given(j=st.floats(math.log(1e-3), math.log(2 * math.pi * 4e8)).map(math.exp))
+    @settings(max_examples=50, deadline=None)
+    def test_label_of_scaled_catalog_triples(self, ops, j):
+        """Closure is judged relative to the commutator norm, so scaling a
+        triple by J (constants scale by J) keeps its unit-scale label."""
+        for name in ("K", "S"):
+            triple = hermitian_triple(ops[f"{name}+"], ops[f"{name}-"], ops[f"{name}0"])
+            unit = killing_classify(measure_structure_constants(list(triple))).label
+            scaled = [OperatorMatrix(j * x.entries, label=x.label) for x in triple]
+            assert killing_classify(measure_structure_constants(scaled)).label == unit

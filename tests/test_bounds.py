@@ -19,7 +19,7 @@ from dqwitness.bounds import (
     witness,
 )
 from dqwitness.constants import HBAR, K_BOLTZMANN
-from dqwitness.errors import NegativeAmplitude
+from dqwitness.errors import NegativeAmplitude, NonFiniteValue
 
 DEFAULTS = PhysicalParams.tissue_defaults()
 
@@ -205,3 +205,20 @@ class TestParameterValidation:
             PhysicalParams.from_hz(10e3, -5.0, 310.0, 5e-3, 1e-9, 400e6)
         with pytest.raises(ValueError):
             PhysicalParams.from_hz(10e3, 5.0, 310.0, 5e-3, 1e-9, -400e6)
+
+
+class TestNonFiniteInputs:
+    FIELDS = ("omega_d", "omega_d_static", "temperature", "mixing_time", "tau_c", "omega_0")
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_params_name_the_field(self, field, value):
+        values = {name: getattr(DEFAULTS, name) for name in self.FIELDS}
+        values[field] = value
+        with pytest.raises(NonFiniteValue, match=field):
+            PhysicalParams(**values)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_witness_rejects_non_finite_amplitude(self, value):
+        with pytest.raises(NonFiniteValue):
+            witness(value, DEFAULTS, "stable")

@@ -3,11 +3,15 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dqwitness
 from dqwitness.cli import (
+    EXIT_BY_VERDICT,
     bpp_curve,
     build_parser,
     build_report,
@@ -19,9 +23,9 @@ from dqwitness.cli import (
     run_witness,
     zq_exchange_trajectory,
 )
-from dqwitness.bounds import PhysicalParams
+from dqwitness.bounds import PhysicalParams, ValidityRegimeWarning
 from dqwitness.errors import UnsupportedKind
-from dqwitness.measurement import ingest_text, stability_gate
+from dqwitness.measurement import GateResult, MeasurementSeries, ingest_text, stability_gate
 
 
 def stable_series_csv(peak=0.15):
@@ -262,3 +266,72 @@ class TestExitCodeTotality:
 
     def test_unknown_command_exits_one(self):
         assert main(["frobnicate"]) == 1
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_csv_field_exits_one(self, tmp_path, capsys, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(stable_series_csv().replace("0.15,", f"{cell},"))
+        assert main(["witness", "--input", str(path)]) == 1
+        assert "line 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--omega-d-static-hz", "--temperature-k"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flag_exits_one(self, stable_csv, capsys, flag, value):
+        assert main(["witness", "--input", stable_csv, flag, value]) == 1
+        assert main(["bounds", flag, value]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
+
+def test_bounds_warns_once_outside_validity_regime(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["bounds", "--omega-d-static-hz", "500"]) == 0
+    assert [w.category for w in caught] == [ValidityRegimeWarning]
+
+
+def test_report_carries_package_version(capsys):
+    assert main(["bounds"]) == 0
+    assert json.loads(capsys.readouterr().out)["tool"]["version"] == dqwitness.__version__
+
+
+finite_amplitude = st.floats(min_value=0.0, max_value=10.0)
+physical_params = st.builds(
+    PhysicalParams.from_hz,
+    omega_d_hz=st.floats(1.0, 1e6),
+    omega_d_static_hz=st.floats(0.0, 20.0),
+    temperature_k=st.floats(1e-3, 1e4),
+    mixing_time_s=st.floats(1e-4, 5e-3),
+    tau_c_s=st.just(1e-9),
+    larmor_hz=st.just(400e6),
+)
+
+
+def _gate(status):
+    return GateResult(status, 0.0, 0.0, None, 0.05, 0.10)
+
+
+def _verdict(params, f_dq, status):
+    series = MeasurementSeries(times=[0.0], f_dq=[f_dq], t2_star=[0.045])
+    doc, code = build_report(params, series, _gate(status))
+    return doc["witness"]["verdict"], code
+
+
+class TestVerdictMapping:
+    @given(params=physical_params, f_dq=finite_amplitude,
+           status=st.sampled_from(["stable", "unstable"]))
+    @settings(max_examples=100, deadline=None)
+    def test_exit_code_is_the_verdict_mapping(self, params, f_dq, status):
+        verdict, code = _verdict(params, f_dq, status)
+        assert code == EXIT_BY_VERDICT[verdict]
+
+    @given(params=physical_params, pair=st.tuples(finite_amplitude, finite_amplitude),
+           status=st.sampled_from(["stable", "unstable"]))
+    @settings(max_examples=100, deadline=None)
+    def test_verdict_is_monotone_in_amplitude(self, params, pair, status):
+        low, high = sorted(pair)
+        low_verdict, _ = _verdict(params, low, status)
+        high_verdict, _ = _verdict(params, high, status)
+        if low_verdict != "not_excluded":
+            assert high_verdict == low_verdict

@@ -7,6 +7,7 @@ from dqwitness.errors import (
     InsufficientRows,
     MalformedHeader,
     NegativeValue,
+    NonFiniteValue,
     NonMonotonicTime,
 )
 from dqwitness.measurement import (
@@ -136,3 +137,14 @@ class TestStabilityGate:
         assert tight.cv_threshold == 0.001
         loose = stability_gate(make_series(t2), cv_threshold=0.5, dev_threshold=0.5)
         assert loose.status == "stable"
+
+
+class TestNonFiniteFields:
+    @pytest.mark.parametrize("column", [0, 1, 2, 3])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_field_names_the_line(self, column, cell):
+        row = ["0.1", "0.02", "0.045", "0.5"]
+        row[column] = cell
+        text = "time_s,f_dq,t2_star_s,mt_ratio\n0.0,0.01,0.045,0.5\n" + ",".join(row) + "\n"
+        with pytest.raises(NonFiniteValue, match="line 3"):
+            ingest_text(text)
