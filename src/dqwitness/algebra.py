@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     LinearlyDependentBasis,
+    NonFiniteValue,
     NonHermitianGenerator,
     NotClosed,
     NotEigenoperator,
@@ -31,6 +32,11 @@ from .errors import (
 TWO_SPIN_DIM = 4
 
 GRAM_CONDITION_LIMIT = 1e10
+HERMITIAN_TOL = 1e-12  # OperatorMatrix.is_hermitian, relative
+COHERENCE_TOL = 1e-10  # coherence_order commutator residual, relative
+REAL_PART_TOL = 1e-10  # real_structure_constants, relative to the largest constant
+CLOSURE_TOL = 1e-8  # largest closure_residual the classifiers accept
+METRIC_ZERO_TOL = 1e-10  # killing_classify: floor of the zero-eigenvalue cut
 
 
 @dataclass(frozen=True)
@@ -58,11 +64,8 @@ class OperatorMatrix:
     def dagger(self) -> "OperatorMatrix":
         return OperatorMatrix(self.entries.conj().T, label=self.label + "^dag")
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return _deviation_from(self.entries, self.entries.conj().T) <= tol
-
-    def is_antihermitian(self, tol: float = 1e-12) -> bool:
-        return _deviation_from(self.entries, -self.entries.conj().T) <= tol
+    def is_hermitian(self) -> bool:
+        return _deviation_from(self.entries, self.entries.conj().T) <= HERMITIAN_TOL
 
 
 def _deviation_from(a: np.ndarray, b: np.ndarray) -> float:
@@ -75,7 +78,12 @@ def _check_hermitian(
     tol: float = 1e-10,
     error: type[Exception] = NonHermitianGenerator,
 ) -> None:
-    """Raise `error` when mat deviates from mat^dag by more than `tol` (relative)."""
+    """Raise `error` when mat deviates from mat^dag by more than `tol` (relative).
+
+    Non-finite entries raise NonFiniteValue before any arithmetic on them.
+    """
+    if not np.isfinite(mat).all():
+        raise NonFiniteValue("matrix has non-finite entries")
     dev = _deviation_from(mat, mat.conj().T)
     if dev > tol:
         raise error(f"relative Hermiticity deviation {dev:.3e}")
@@ -136,11 +144,11 @@ def build_two_spin_operators() -> dict[str, OperatorMatrix]:
     return ops
 
 
-def coherence_order(op: OperatorMatrix, tol: float = 1e-10) -> int:
+def coherence_order(op: OperatorMatrix) -> int:
     """Integer p with [I1z + I2z, O] = p * O.
 
-    Raises NotEigenoperator when the commutator residual exceeds `tol`
-    relative to the operator norm.
+    Raises NotEigenoperator when the commutator residual exceeds
+    COHERENCE_TOL relative to the operator norm.
     """
     mat = as_matrix(op)
     if mat.shape != (TWO_SPIN_DIM, TWO_SPIN_DIM):
@@ -153,9 +161,9 @@ def coherence_order(op: OperatorMatrix, tol: float = 1e-10) -> int:
     p = float(np.vdot(mat, com).real) / norm2
     p_int = int(round(p))
     residual = float(np.linalg.norm(com - p_int * mat))
-    if residual > tol * max(1.0, float(np.sqrt(norm2))):
+    if residual > COHERENCE_TOL * max(1.0, float(np.sqrt(norm2))):
         raise NotEigenoperator(
-            f"commutator residual {residual:.3e} exceeds tolerance {tol:.1e}"
+            f"commutator residual {residual:.3e} exceeds tolerance {COHERENCE_TOL:.1e}"
         )
     return p_int
 
@@ -194,9 +202,6 @@ class SectorBasis:
     @property
     def size(self) -> int:
         return self.structure_constants.shape[0]
-
-    def is_closed(self, tol: float = 1e-10) -> bool:
-        return self.closure_residual < tol
 
 
 def measure_structure_constants(
@@ -316,7 +321,7 @@ def abstract_basis(kind: AbstractKind) -> SectorBasis:
     )
 
 
-def real_structure_constants(basis: SectorBasis, tol: float = 1e-10) -> np.ndarray:
+def real_structure_constants(basis: SectorBasis) -> np.ndarray:
     """Real f-tensor with [e_i, e_j] = i sum_k f_ijk e_k.
 
     Only Hermitian-triple bases (purely imaginary measured constants) have
@@ -324,7 +329,7 @@ def real_structure_constants(basis: SectorBasis, tol: float = 1e-10) -> np.ndarr
     """
     c = basis.structure_constants
     scale = max(1.0, float(np.abs(c).max()))
-    if float(np.abs(c.real).max()) > tol * scale:
+    if float(np.abs(c.real).max()) > REAL_PART_TOL * scale:
         raise NotHermitianTriple(
             "structure constants have a real part; convert the basis to a "
             "Hermitian triple (see hermitian_triple) before classifying"
@@ -340,10 +345,10 @@ def triple_kappa(basis: SectorBasis) -> float:
     return float(f[0, 1, 2])
 
 
-def _require_closed(basis: SectorBasis, closure_tol: float) -> None:
-    if basis.closure_residual > closure_tol:
+def _require_closed(basis: SectorBasis) -> None:
+    if basis.closure_residual > CLOSURE_TOL:
         raise NotClosed(
-            f"closure residual {basis.closure_residual:.3e} exceeds {closure_tol:.1e}"
+            f"closure residual {basis.closure_residual:.3e} exceeds {CLOSURE_TOL:.1e}"
         )
 
 
@@ -356,11 +361,7 @@ class KillingClassification:
     label: Literal["compact", "noncompact", "degenerate"]
 
 
-def killing_classify(
-    basis: SectorBasis,
-    closure_tol: float = 1e-8,
-    zero_tol: float = 1e-10,
-) -> KillingClassification:
+def killing_classify(basis: SectorBasis) -> KillingClassification:
     """Classify a closed Hermitian-triple basis by metric definiteness.
 
     g_ab = sum_cd f_acd f_bdc, contracted from the real structure constants.
@@ -368,12 +369,12 @@ def killing_classify(
     the compact case regardless of overall sign convention; an indefinite
     one the non-compact case; any zero eigenvalue the degenerate case.
     """
-    _require_closed(basis, closure_tol)
+    _require_closed(basis)
     f = real_structure_constants(basis)
     g = np.einsum("acd,bdc->ab", f, f)
     g = (g + g.T) / 2.0
     eigs = np.linalg.eigvalsh(g)
-    cut = max(zero_tol, 1e-12 * float(np.abs(eigs).max(initial=0.0)))
+    cut = max(METRIC_ZERO_TOL, 1e-12 * float(np.abs(eigs).max(initial=0.0)))
     n_zero = int(np.sum(np.abs(eigs) <= cut))
     n_pos = int(np.sum(eigs > cut))
     n_neg = int(np.sum(eigs < -cut))
@@ -395,11 +396,7 @@ class AdjointSpectrum:
     tolerance: float
 
 
-def heisenberg_flow_spectrum(
-    basis: SectorBasis,
-    h: Sequence[float],
-    closure_tol: float = 1e-8,
-) -> AdjointSpectrum:
+def heisenberg_flow_spectrum(basis: SectorBasis, h: Sequence[float]) -> AdjointSpectrum:
     """Spectrum of the linear flow d<X_b>/dt = i <[H, X_b]> with H = sum h_a X_a.
 
     With real structure constants f the flow matrix is M_bc = -sum_a h_a f_abc.
@@ -407,7 +404,7 @@ def heisenberg_flow_spectrum(
     eigenvalue means hyperbolic growth along some direction.  The real/
     imaginary tests use tolerance 1e-9 * ||h||.
     """
-    _require_closed(basis, closure_tol)
+    _require_closed(basis)
     f = real_structure_constants(basis)
     hv = np.asarray(h, dtype=float)
     if hv.shape != (basis.size,):

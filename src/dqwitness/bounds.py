@@ -25,6 +25,19 @@ Verdict = Literal["classically_inexplicable", "not_excluded", "loophole_open"]
 
 GATE_STATUSES = ("stable", "unstable", "not_evaluated")
 
+# Restricted-water defaults, keyed by the arguments of PhysicalParams.from_hz:
+# 10 kHz fluctuation, 5 Hz static residue, 310 K, 5 ms mixing, 1 ns
+# correlation time, 400 MHz Larmor.  The CLI derives its config keys and
+# parameter flags from these names.
+TISSUE_DEFAULTS = {
+    "omega_d_hz": 10e3,
+    "omega_d_static_hz": 5.0,
+    "temperature_k": 310.0,
+    "mixing_time_s": 5e-3,
+    "tau_c_s": 1e-9,
+    "larmor_hz": 400e6,
+}
+
 
 class ValidityRegimeWarning(UserWarning):
     """A scaling estimate was evaluated outside its validity regime."""
@@ -88,9 +101,8 @@ class PhysicalParams:
 
     @classmethod
     def tissue_defaults(cls) -> "PhysicalParams":
-        """Restricted-water defaults: 10 kHz fluctuation, 5 Hz static residue,
-        310 K, 5 ms mixing, 1 ns correlation time, 400 MHz Larmor."""
-        return cls.from_hz(10e3, 5.0, 310.0, 5e-3, 1e-9, 400e6)
+        """Restricted-water defaults, from TISSUE_DEFAULTS."""
+        return cls.from_hz(**TISSUE_DEFAULTS)
 
 
 def dipolar_energy(params: PhysicalParams) -> float:

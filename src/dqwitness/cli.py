@@ -29,10 +29,12 @@ import numpy as np
 from . import __version__
 from .algebra import build_two_spin_operators
 from .bounds import (
+    TISSUE_DEFAULTS,
     PhysicalParams,
     dipolar_energy,
     epsilon_th,
     eta_seq,
+    normalized_spectral_density,
     witness,
 )
 from .dynamics import Trajectory, StateVector, build_su11_rep, hyperbolic_signal, propagate
@@ -49,24 +51,6 @@ from .thermal import DensityMatrix, OpenTrajectory, default_thermal_model, evolv
 
 TOOL_NAME = "dqwitness"
 
-CONFIG_KEYS = (
-    "omega_d_hz",
-    "omega_d_static_hz",
-    "temperature_k",
-    "mixing_time_s",
-    "tau_c_s",
-    "larmor_hz",
-)
-
-DEFAULT_CONFIG = {
-    "omega_d_hz": 10e3,
-    "omega_d_static_hz": 5.0,
-    "temperature_k": 310.0,
-    "mixing_time_s": 5e-3,
-    "tau_c_s": 1e-9,
-    "larmor_hz": 400e6,
-}
-
 EXIT_BY_VERDICT = {
     "not_excluded": 0,
     "classically_inexplicable": 2,
@@ -74,10 +58,23 @@ EXIT_BY_VERDICT = {
 }
 
 FIGURE_KINDS = ("bpp_curve", "zq_signal", "dq_signal", "open_trajectory")
-SIMULATE_KINDS = ("zq_signal", "dq_signal", "open_trajectory")
+
+# The subcommands that write one kind of CSV: help line, noun in their error
+# messages, accepted kinds.
+KIND_COMMANDS = {
+    "simulate": ("write a trajectory CSV", "simulation", FIGURE_KINDS[1:]),
+    "figure": ("write figure data CSV", "figure", FIGURE_KINDS),
+}
 
 BPP_SAMPLES = 300
 BPP_X_MAX = 5.0
+
+ZQ_PERIODS = 10.0
+DQ_INDEX = 0.5
+DQ_COUPLING = 1.0
+DQ_T_MAX = 2.0
+OPEN_T_MAX = 5.0
+OPEN_SAMPLES = 101
 
 
 def parse_config_file(path: str | Path) -> dict[str, float]:
@@ -91,7 +88,7 @@ def parse_config_file(path: str | Path) -> dict[str, float]:
         if not sep:
             raise ValueError(f"{path}:{line_no}: expected `key = value`")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in TISSUE_DEFAULTS:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
         try:
             values[key] = float(value.strip().strip("\"'"))
@@ -102,34 +99,30 @@ def parse_config_file(path: str | Path) -> dict[str, float]:
 
 def resolve_params(args: argparse.Namespace) -> PhysicalParams:
     """Defaults, overridden by config file, overridden by explicit flags."""
-    settings = dict(DEFAULT_CONFIG)
-    if getattr(args, "config", None):
+    settings = dict(TISSUE_DEFAULTS)
+    if args.config:
         settings.update(parse_config_file(args.config))
-    for key in CONFIG_KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = flag_value
-    return PhysicalParams.from_hz(
-        omega_d_hz=settings["omega_d_hz"],
-        omega_d_static_hz=settings["omega_d_static_hz"],
-        temperature_k=settings["temperature_k"],
-        mixing_time_s=settings["mixing_time_s"],
-        tau_c_s=settings["tau_c_s"],
-        larmor_hz=settings["larmor_hz"],
-    )
+    for key in TISSUE_DEFAULTS:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
+    return PhysicalParams.from_hz(**settings)
 
 
-def _params_echo(params: PhysicalParams) -> dict:
+def _report_head(params: PhysicalParams) -> dict:
+    """The `tool` and `parameters` sections shared by every report."""
     return {
-        "omega_d_rad_s": params.omega_d,
-        "omega_d_hz": params.omega_d / (2 * pi),
-        "omega_d_static_rad_s": params.omega_d_static,
-        "omega_d_static_hz": params.omega_d_static / (2 * pi),
-        "temperature_k": params.temperature,
-        "mixing_time_s": params.mixing_time,
-        "tau_c_s": params.tau_c,
-        "larmor_rad_s": params.omega_0,
-        "larmor_hz": params.omega_0 / (2 * pi),
+        "tool": {"name": TOOL_NAME, "version": __version__},
+        "parameters": {
+            "omega_d_rad_s": params.omega_d,
+            "omega_d_hz": params.omega_d / (2 * pi),
+            "omega_d_static_rad_s": params.omega_d_static,
+            "omega_d_static_hz": params.omega_d_static / (2 * pi),
+            "temperature_k": params.temperature,
+            "mixing_time_s": params.mixing_time,
+            "tau_c_s": params.tau_c,
+            "larmor_rad_s": params.omega_0,
+            "larmor_hz": params.omega_0 / (2 * pi),
+        },
     }
 
 
@@ -161,8 +154,7 @@ def build_report(
     f_dq_peak = float(series.f_dq[peak_index])
     report = witness(f_dq_peak, params, gate.status)
     doc = {
-        "tool": {"name": TOOL_NAME, "version": __version__},
-        "parameters": _params_echo(params),
+        **_report_head(params),
         "gate": {
             "status": gate.status,
             "t2_cv": gate.t2_cv,
@@ -250,18 +242,17 @@ def write_open_trajectory_csv(traj: OpenTrajectory, destination) -> None:
 
 
 def zq_exchange_trajectory(
-    j_coupling: float = 2 * pi * 10.0,
-    n_periods: float = 10.0,
-    samples: int = 1001,
+    j_coupling: float = 2 * pi * 10.0, samples: int = 1001
 ) -> Trajectory:
     """Flip-flop exchange <S0(t)> from the up-down state under J(S+ + S-).
 
-    The observable oscillates as cos(2Jt)/2, so one period is pi/J seconds.
+    The observable oscillates as cos(2Jt)/2, so one period is pi/J seconds;
+    the grid spans ZQ_PERIODS of them.
     """
     ops = build_two_spin_operators()
     h = j_coupling * (ops["S+"].entries + ops["S-"].entries)
     if j_coupling != 0:
-        t_max = n_periods * pi / abs(j_coupling)
+        t_max = ZQ_PERIODS * pi / abs(j_coupling)
     else:
         t_max = 1.0
     times = np.linspace(0.0, t_max, samples)
@@ -269,32 +260,21 @@ def zq_exchange_trajectory(
     return propagate(h, psi0, times, [ops["S0"]])
 
 
-def dq_pair_trajectory(
-    k: float = 0.5,
-    g: float = 1.0,
-    t_max: float = 2.0,
-    samples: int = 201,
-) -> Trajectory:
+def dq_pair_trajectory(samples: int = 201) -> Trajectory:
     """Vacuum pair signal on the truncated ladder, auto-escalated."""
-    rep = build_su11_rep(k, 64)
-    times = np.linspace(0.0, t_max, samples)
-    return hyperbolic_signal(rep, g, times)
+    rep = build_su11_rep(DQ_INDEX, 64)
+    times = np.linspace(0.0, DQ_T_MAX, samples)
+    return hyperbolic_signal(rep, DQ_COUPLING, times)
 
 
-def open_system_trajectory(
-    params: PhysicalParams,
-    base_rate: float = 1.0,
-    t_max: float = 5.0,
-    samples: int = 101,
-) -> OpenTrajectory:
+def open_system_trajectory(params: PhysicalParams) -> OpenTrajectory:
     """Maximally mixed two-spin state relaxing under the default bath model."""
     model = default_thermal_model(
         omega0=params.omega_0,
         omega_d=params.omega_d,
         temperature=params.temperature,
-        base_rate=base_rate,
     )
-    times = np.linspace(0.0, t_max, samples)
+    times = np.linspace(0.0, OPEN_T_MAX, OPEN_SAMPLES)
     return evolve_master(model, DensityMatrix.maximally_mixed(4), times)
 
 
@@ -305,24 +285,23 @@ def bpp_curve() -> tuple[np.ndarray, np.ndarray]:
     exactly 1) is a grid point; the open right end just misses x = 5.
     """
     x = np.arange(BPP_SAMPLES) * BPP_X_MAX / BPP_SAMPLES
-    return x, 2.0 * x / (1.0 + x * x)
+    return x, normalized_spectral_density(x)
 
 
-def emit_figure_data(kind: str, params: PhysicalParams, destination, **options) -> None:
+def emit_figure_data(kind: str, params: PhysicalParams, destination) -> None:
     """Write deterministic CSV data for one figure kind.
 
     Kinds: bpp_curve (x, normalized density), zq_signal and dq_signal
     (closed-system trajectories), open_trajectory (bath relaxation record).
-    Keyword options are forwarded to the corresponding builder.
     """
     if kind == "bpp_curve":
         _write_csv(destination, ["x", "j_normalized"], bpp_curve())
     elif kind == "zq_signal":
-        write_trajectory_csv(zq_exchange_trajectory(**options), destination)
+        write_trajectory_csv(zq_exchange_trajectory(), destination)
     elif kind == "dq_signal":
-        write_trajectory_csv(dq_pair_trajectory(**options), destination)
+        write_trajectory_csv(dq_pair_trajectory(), destination)
     elif kind == "open_trajectory":
-        write_open_trajectory_csv(open_system_trajectory(params, **options), destination)
+        write_open_trajectory_csv(open_system_trajectory(params), destination)
     else:
         raise UnsupportedKind(f"unknown figure kind {kind!r}; expected one of {FIGURE_KINDS}")
 
@@ -337,12 +316,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value parameter file")
     parser.add_argument("--output", help="write output to this path instead of stdout")
-    parser.add_argument("--omega-d-hz", dest="omega_d_hz", type=float)
-    parser.add_argument("--omega-d-static-hz", dest="omega_d_static_hz", type=float)
-    parser.add_argument("--temperature-k", dest="temperature_k", type=float)
-    parser.add_argument("--mixing-time-s", dest="mixing_time_s", type=float)
-    parser.add_argument("--tau-c-s", dest="tau_c_s", type=float)
-    parser.add_argument("--larmor-hz", dest="larmor_hz", type=float)
+    for key in TISSUE_DEFAULTS:
+        parser.add_argument("--" + key.replace("_", "-"), type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,31 +337,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--dev-threshold", dest="dev_threshold", type=float, default=DEFAULT_DEV_THRESHOLD
     )
 
-    p_sim = sub.add_parser("simulate", help="write a trajectory CSV")
-    _add_common_flags(p_sim)
-    p_sim.add_argument("--kind", required=True, help=f"one of {SIMULATE_KINDS}")
-
-    p_fig = sub.add_parser("figure", help="write figure data CSV")
-    _add_common_flags(p_fig)
-    p_fig.add_argument("--kind", required=True, help=f"one of {FIGURE_KINDS}")
+    for command, (summary, _, kinds) in KIND_COMMANDS.items():
+        p_kind = sub.add_parser(command, help=summary)
+        _add_common_flags(p_kind)
+        p_kind.add_argument("--kind", required=True, help=f"one of {kinds}")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except DqwitnessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return 0 if exc.code in (0, None) else 1
-    try:
+        params = resolve_params(args)
         if args.command == "bounds":
-            params = resolve_params(args)
             eps, eta = epsilon_th(params), eta_seq(params)
             doc = {
-                "tool": {"name": TOOL_NAME, "version": __version__},
-                "parameters": _params_echo(params),
+                **_report_head(params),
                 "bounds": {
                     "epsilon_th": eps,
                     "eta_seq": eta,
@@ -397,31 +362,24 @@ def main(argv=None) -> int:
             _dump_json(doc, args.output)
             return 0
         if args.command == "witness":
-            params = resolve_params(args)
-            series = ingest(args.input)
             _, code = run_witness(
                 params,
-                series,
+                ingest(args.input),
                 cv_threshold=args.cv_threshold,
                 dev_threshold=args.dev_threshold,
                 destination=args.output,
             )
             return code
-        if args.command == "simulate":
-            if args.kind not in SIMULATE_KINDS:
-                raise UnsupportedKind(
-                    f"unknown simulation kind {args.kind!r}; expected one of {SIMULATE_KINDS}"
-                )
-            emit_figure_data(args.kind, resolve_params(args), args.output)
-            return 0
-        if args.command == "figure":
-            emit_figure_data(args.kind, resolve_params(args), args.output)
-            return 0
-        raise UnsupportedKind(f"unknown command {args.command!r}")
-    except DqwitnessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+        _, noun, kinds = KIND_COMMANDS[args.command]
+        if args.kind not in kinds:
+            raise UnsupportedKind(
+                f"unknown {noun} kind {args.kind!r}; expected one of {kinds}"
+            )
+        emit_figure_data(args.kind, params, args.output)
+        return 0
+    except SystemExit as exc:  # --help
+        return 0 if exc.code in (0, None) else 1
+    except (DqwitnessError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

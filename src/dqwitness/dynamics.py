@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     InsufficientSamples,
     InvalidBargmannIndex,
+    NonFiniteValue,
     NonHermitianGenerator,
     TruncationExceeded,
     TruncationTooSmall,
@@ -29,6 +30,10 @@ from .errors import (
 
 DEFAULT_TAIL_BOUND = 1e-8
 DEFAULT_TRUNCATION_LIMIT = 4096
+NORM_TOL = 1e-12  # StateVector: largest accepted | ||v|| - 1 |
+ENVELOPE_WINDOWS = 4  # classify_growth: windows of the envelope test
+ENVELOPE_SLACK = 0.05  # classify_growth: relative envelope growth still "bounded"
+FIT_RESIDUAL_MAX = 0.1  # classify_growth: largest relative log-fit residual of "hyperbolic"
 
 
 @dataclass(frozen=True)
@@ -36,12 +41,13 @@ class StateVector:
     """Normalized complex amplitude vector."""
 
     amplitudes: np.ndarray
-    norm_tolerance: float = 1e-12
 
     def __post_init__(self):
         v = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        if not np.isfinite(v).all():
+            raise NonFiniteValue("state amplitudes must be finite")
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > self.norm_tolerance:
+        if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond tolerance")
         v.flags.writeable = False
         object.__setattr__(self, "amplitudes", v)
@@ -104,7 +110,6 @@ def propagate(
     psi0: StateVector,
     times: Sequence[float],
     observables: Sequence[OperatorMatrix],
-    representation_tag: str = "two_spin",
 ) -> Trajectory:
     """Unitary evolution |psi(t)> = exp(-iHt)|psi(0)> via eigendecomposition.
 
@@ -132,7 +137,7 @@ def propagate(
     series = {}
     for lab, row in zip(labels, values):
         series[lab] = row.real if np.abs(row.imag).max(initial=0.0) < 1e-10 else row
-    return Trajectory(times=tgrid, expectations=series, representation_tag=representation_tag)
+    return Trajectory(times=tgrid, expectations=series, representation_tag="two_spin")
 
 
 @dataclass(frozen=True)
@@ -192,14 +197,13 @@ def hyperbolic_signal(
     rep: Su11Rep,
     g: float,
     times: Sequence[float],
-    tail_bound: float = DEFAULT_TAIL_BOUND,
     n_limit: int = DEFAULT_TRUNCATION_LIMIT,
 ) -> Trajectory:
     """Pair signal s(t) = <K0(t)> - k of the vacuum under H = g(K+ + K-).
 
     The truncation is doubled (keeping the given index k) until both the
     top-level population and its weighted contribution (n+1) * population
-    stay below `tail_bound` at every reported time; the second condition
+    stay below DEFAULT_TAIL_BOUND at every reported time; the second condition
     keeps the truncation error on s(t) at the same scale as the tail.
     Raises TruncationExceeded when no size up to `n_limit` suffices.
     """
@@ -210,7 +214,7 @@ def hyperbolic_signal(
     while True:
         signal, tails = _vacuum_pair_run(current, g, tgrid)
         tail_max = float(tails.max())
-        if tail_max < tail_bound and tail_max * (current.n_max + 1) < tail_bound:
+        if tail_max < DEFAULT_TAIL_BOUND and tail_max * current.dim < DEFAULT_TAIL_BOUND:
             break
         if 2 * current.n_max > n_limit:
             raise TruncationExceeded(
@@ -260,35 +264,29 @@ def fit_log_slope(traj: Trajectory, signal: str | None = None) -> tuple[float, f
     return float(coeff[0]), residual
 
 
-def classify_growth(
-    traj: Trajectory,
-    signal: str | None = None,
-    envelope_windows: int = 4,
-    envelope_slack: float = 0.05,
-    fit_residual_max: float = 0.1,
-) -> str:
+def classify_growth(traj: Trajectory, signal: str | None = None) -> str:
     """Empirical discriminator between bounded oscillation and hyperbolic growth.
 
     `bounded_oscillatory` when the per-window envelope max|s| never grows by
-    more than `envelope_slack` between successive windows; `hyperbolic` when
+    more than ENVELOPE_SLACK between successive windows; `hyperbolic` when
     instead log|s| over the final half-window is close to linear (relative
-    fit residual below `fit_residual_max`) with positive slope.  The grid
+    fit residual below FIT_RESIDUAL_MAX) with positive slope.  The grid
     must carry at least 16 samples and is expected to span at least two
     characteristic periods or growth times of the signal.
     """
     values = _select_series(traj, signal)
     if values.size < 16:
         raise InsufficientSamples(f"need >= 16 samples, got {values.size}")
-    chunks = np.array_split(np.abs(values), envelope_windows)
+    chunks = np.array_split(np.abs(values), ENVELOPE_WINDOWS)
     envelope = np.array([float(c.max()) for c in chunks])
     grows = [
-        envelope[i + 1] > envelope[i] * (1.0 + envelope_slack)
+        envelope[i + 1] > envelope[i] * (1.0 + ENVELOPE_SLACK)
         for i in range(len(envelope) - 1)
     ]
     if not any(grows):
         return "bounded_oscillatory"
     slope, residual = fit_log_slope(traj, signal)
-    if slope > 0 and residual < fit_residual_max:
+    if slope > 0 and residual < FIT_RESIDUAL_MAX:
         return "hyperbolic"
     raise AmbiguousGrowth(
         f"envelope grows but log-fit is poor (slope {slope:.3e}, residual {residual:.3e})"

@@ -37,7 +37,11 @@ DEFAULT_DEV_THRESHOLD = 0.10
 
 @dataclass(frozen=True)
 class MeasurementSeries:
-    """Validated time series of fractional amplitude and stability observables."""
+    """Validated time series of fractional amplitude and stability observables.
+
+    Every value must be finite (NonFiniteValue otherwise, naming the column);
+    f_dq >= 0, t2_star > 0 and mt_ratio in [0, 1] (NegativeValue otherwise).
+    """
 
     times: np.ndarray
     f_dq: np.ndarray
@@ -51,6 +55,9 @@ class MeasurementSeries:
             if arr is None:
                 continue
             arr = np.array(arr, dtype=float)
+            if not np.isfinite(arr).all():
+                bad = arr[~np.isfinite(arr)][0]
+                raise NonFiniteValue(f"{name} must be finite, got {bad}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         n = self.times.size
@@ -58,6 +65,12 @@ class MeasurementSeries:
             raise ValueError("column lengths differ")
         if self.mt_ratio is not None and self.mt_ratio.size != n:
             raise ValueError("column lengths differ")
+        if np.any(self.f_dq < 0):
+            raise NegativeValue(f"f_dq must be >= 0, got {self.f_dq.min()}")
+        if np.any(self.t2_star <= 0):
+            raise NegativeValue(f"t2_star must be > 0, got {self.t2_star.min()}")
+        if self.mt_ratio is not None and np.any((self.mt_ratio < 0) | (self.mt_ratio > 1)):
+            raise NegativeValue("mt_ratio must lie in [0, 1]")
         if n > 1 and not np.all(np.diff(self.times) > 0):
             raise NonMonotonicTime("times must be strictly increasing")
 

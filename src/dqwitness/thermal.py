@@ -25,6 +25,7 @@ from .errors import (
     CeilingPrecondition,
     DegenerateGrouping,
     DimensionMismatch,
+    NonFiniteValue,
     PositivityBreakdown,
     SupportViolation,
 )
@@ -38,6 +39,7 @@ BREAKDOWN_LIMIT = 1e-8
 
 _OPS = build_two_spin_operators()
 _PAIR_OP = _OPS["I1z"].entries @ _OPS["I2z"].entries
+_PAIR_REF = float(np.trace(_PAIR_OP).real) / 4  # tr(rho I1z I2z) at beta = 0
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,8 @@ class LindbladModel:
     _d_super: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not np.isfinite([self.beta, *(t.rate for t in self.jump_terms)]).all():
+            raise NonFiniteValue("beta and every jump rate must be finite")
         h = self.h_system.entries
         _check_hermitian(h)
         if self.beta < 0:
@@ -195,13 +199,13 @@ def build_davies_model(
     h_system: OperatorMatrix,
     couplings: Sequence[tuple[OperatorMatrix, float]],
     beta: float,
-    grouping_tol: float = DEFAULT_GROUPING_TOL,
 ) -> LindbladModel:
     """Weak-coupling generator from eigenoperator decomposition of couplings.
 
     Each coupling operator is split into transition-frequency components
     A(omega) = sum P(e) A P(e + hbar-less omega); frequencies closer than
-    `grouping_tol` (rad/s) are merged.  Downward and zero-frequency channels
+    DEFAULT_GROUPING_TOL (rad/s), the tolerance the detailed-balance check
+    pairs channels with, are merged.  Downward and zero-frequency channels
     keep the base rate; upward channels get the detailed-balance factor
     exp(-beta hbar |omega|).  Raises DegenerateGrouping when chained merging
     would lump frequencies farther apart than the tolerance.
@@ -226,12 +230,12 @@ def build_davies_model(
         ]
         if not entries:
             continue
-        for omega, members in _cluster_frequencies(entries, grouping_tol):
+        for omega, members in _cluster_frequencies(entries, DEFAULT_GROUPING_TOL):
             block = np.zeros((dim, dim), dtype=complex)
             for i, j, _ in members:
                 block[i, j] = a_eig[i, j]
             lab_op = evecs @ block @ evecs.conj().T
-            upward = omega < -grouping_tol
+            upward = omega < -DEFAULT_GROUPING_TOL
             rate = base_rate * float(np.exp(beta * HBAR * omega)) if upward else base_rate
             terms.append(
                 JumpTerm(
@@ -344,9 +348,6 @@ def evolve_master(
     rho_th = model.gibbs()
 
     two_spin = dim == 4
-    if two_spin:
-        kplus = _OPS["K+"].entries
-        pair_ref = float(np.trace(_PAIR_OP).real) / dim
 
     bohr = np.subtract.outer(w, w)
     prop_cache: dict[float, np.ndarray] = {}
@@ -368,8 +369,8 @@ def evolve_master(
         states.append(state)
         rel_ents[it] = relative_entropy(state, rho_th)
         if two_spin:
-            dqs[it] = abs(complex(np.trace(lab @ kplus)))
-            pcs[it] = float(np.trace(lab @ _PAIR_OP).real) - pair_ref
+            dqs[it] = abs(complex(np.trace(lab @ _OPS["K+"].entries)))
+            pcs[it] = pair_correlation(state)
     return OpenTrajectory(
         times=tgrid,
         states=tuple(states),
@@ -391,21 +392,18 @@ def apply_liouvillian(model: LindbladModel, rho: DensityMatrix | np.ndarray) -> 
     return v @ out @ v.conj().T
 
 
-def relative_entropy(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    floor: float = SUPPORT_FLOOR,
-) -> float:
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Quantum relative entropy tr rho (log rho - log sigma), in nats.
 
-    Eigenvalues of sigma at or below `floor` define its numerical kernel;
-    any rho-weight above the floor on that kernel raises SupportViolation.
+    Eigenvalues of sigma at or below SUPPORT_FLOOR define its numerical
+    kernel; any rho-weight above the floor on that kernel raises
+    SupportViolation.
     """
     p, pu = np.linalg.eigh(rho.entries)
     q, qu = np.linalg.eigh(sigma.entries)
     weights = np.einsum("ij,jk,ki->i", qu.conj().T, rho.entries, qu).real
-    dead = q <= floor
-    if np.any(weights[dead] > floor):
+    dead = q <= SUPPORT_FLOOR
+    if np.any(weights[dead] > SUPPORT_FLOOR):
         raise SupportViolation(
             "state has weight on the kernel of the reference state"
         )
@@ -417,8 +415,7 @@ def relative_entropy(
 
 def pair_correlation(rho: DensityMatrix) -> float:
     """Longitudinal pair correlation tr(rho I1z I2z) relative to beta = 0."""
-    ref = float(np.trace(_PAIR_OP).real) / rho.dim
-    return float(np.trace(rho.entries @ _PAIR_OP).real) - ref
+    return float(np.trace(rho.entries @ _PAIR_OP).real) - _PAIR_REF
 
 
 @dataclass(frozen=True)

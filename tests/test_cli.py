@@ -1,5 +1,7 @@
 """Command-line pipeline: reports, exit codes, figure emission, determinism."""
 
+import argparse
+import inspect
 import io
 import json
 import math
@@ -294,6 +296,61 @@ def test_bounds_warns_once_outside_validity_regime(capsys):
 def test_report_carries_package_version(capsys):
     assert main(["bounds"]) == 0
     assert json.loads(capsys.readouterr().out)["tool"]["version"] == dqwitness.__version__
+
+
+class TestOneDefaultsTable:
+    """Defaults, config keys and parameter flags all come from one table."""
+
+    FROM_HZ_NAMES = set(inspect.signature(PhysicalParams.from_hz).parameters)
+    OTHER_DESTS = {
+        "help", "config", "output", "input", "cv_threshold", "dev_threshold", "kind"
+    }
+
+    def test_no_flags_no_config_gives_tissue_defaults(self):
+        args = build_parser().parse_args(["bounds"])
+        assert resolve_params(args) == PhysicalParams.tissue_defaults()
+
+    def test_flags_config_keys_and_from_hz_share_names(self, tmp_path):
+        parser = build_parser()
+        (subparsers,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(subparsers.choices) == {"bounds", "witness", "simulate", "figure"}
+        for command, sub in subparsers.choices.items():
+            flags = {
+                a.dest: a.option_strings
+                for a in sub._actions
+                if a.dest not in self.OTHER_DESTS
+            }
+            assert set(flags) == self.FROM_HZ_NAMES, command
+            for dest, options in flags.items():
+                assert options == ["--" + dest.replace("_", "-")]
+        config = tmp_path / "all.conf"
+        config.write_text("".join(f"{name} = 1.0\n" for name in self.FROM_HZ_NAMES))
+        assert set(parse_config_file(config)) == self.FROM_HZ_NAMES
+
+    def test_config_naming_all_six_keys_round_trips(self, tmp_path):
+        values = {
+            "omega_d_hz": 12e3,
+            "omega_d_static_hz": 4.0,
+            "temperature_k": 300.0,
+            "mixing_time_s": 4e-3,
+            "tau_c_s": 2e-9,
+            "larmor_hz": 500e6,
+        }
+        config = tmp_path / "all.conf"
+        config.write_text("".join(f"{k} = {v!r}\n" for k, v in values.items()))
+        args = build_parser().parse_args(
+            ["witness", "--input", "x.csv", "--config", str(config)]
+        )
+        assert resolve_params(args) == PhysicalParams.from_hz(**values)
+
+    @pytest.mark.parametrize("kind", ["zq_signal", "dq_signal", "open_trajectory"])
+    def test_simulate_and_figure_write_identical_csv(self, tmp_path, kind):
+        sim, fig = tmp_path / "sim.csv", tmp_path / "fig.csv"
+        assert main(["simulate", "--kind", kind, "--output", str(sim)]) == 0
+        assert main(["figure", "--kind", kind, "--output", str(fig)]) == 0
+        assert sim.read_bytes() == fig.read_bytes()
 
 
 finite_amplitude = st.floats(min_value=0.0, max_value=10.0)

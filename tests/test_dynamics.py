@@ -20,6 +20,7 @@ from dqwitness.errors import (
     DimensionMismatch,
     InsufficientSamples,
     InvalidBargmannIndex,
+    NonFiniteValue,
     NonHermitianGenerator,
     TruncationExceeded,
     TruncationTooSmall,
@@ -244,3 +245,16 @@ class TestStateAndTrajectoryInvariants:
                 expectations={"s": np.zeros(3)},
                 representation_tag="two_spin",
             )
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+class TestNonFiniteInputs:
+    def test_state_vector_rejects_non_finite_amplitude(self, value):
+        with pytest.raises(NonFiniteValue):
+            StateVector(np.array([value, 0.0]))
+
+    def test_propagate_rejects_non_finite_generator(self, ops, value):
+        h = ops["S+"].entries + ops["S-"].entries
+        h[1, 2] = h[2, 1] = value
+        with pytest.raises(NonFiniteValue):
+            propagate(h, StateVector.basis_state(4, 1), [0.0, 1.0], [ops["S0"]])

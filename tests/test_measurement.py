@@ -148,3 +148,34 @@ class TestNonFiniteFields:
         text = "time_s,f_dq,t2_star_s,mt_ratio\n0.0,0.01,0.045,0.5\n" + ",".join(row) + "\n"
         with pytest.raises(NonFiniteValue, match="line 3"):
             ingest_text(text)
+
+
+class TestSeriesConstructorValidation:
+    """A series built in code is held to the same value contract as ingest."""
+
+    @pytest.mark.parametrize("column", ["times", "f_dq", "t2_star", "mt_ratio"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_names_the_column(self, column, value):
+        columns = {
+            "times": [0.0, 1.0, 2.0],
+            "f_dq": [0.02, 0.15, 0.02],
+            "t2_star": [0.04, 0.04, 0.04],
+            "mt_ratio": [0.5, 0.5, 0.5],
+        }
+        columns[column][1] = value
+        with pytest.raises(NonFiniteValue, match=column):
+            MeasurementSeries(**{k: np.array(v) for k, v in columns.items()})
+
+    def test_negative_f_dq_rejected(self):
+        with pytest.raises(NegativeValue, match="f_dq"):
+            make_series([0.04] * 3, f_dq=[0.02, -0.01, 0.02])
+
+    @pytest.mark.parametrize("t2", [0.0, -0.04])
+    def test_non_positive_t2_rejected(self, t2):
+        with pytest.raises(NegativeValue, match="t2_star"):
+            make_series([t2] * 3)
+
+    @pytest.mark.parametrize("mt", [-5.0, 1.5])
+    def test_mt_ratio_outside_unit_interval_rejected(self, mt):
+        with pytest.raises(NegativeValue, match="mt_ratio"):
+            make_series([0.04] * 3, mt=[mt] * 3)

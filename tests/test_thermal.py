@@ -12,6 +12,7 @@ from dqwitness.errors import (
     CeilingPrecondition,
     DegenerateGrouping,
     DimensionMismatch,
+    NonFiniteValue,
     NonHermitianGenerator,
     PositivityBreakdown,
     SupportViolation,
@@ -281,3 +282,41 @@ class TestCeilingScan:
         assert pair_correlation(hot) > 0.1
         with pytest.raises(CeilingPrecondition):
             ceiling_scan(nmr_model, hot, np.linspace(0.0, 1.0, 17))
+
+
+class TestPairCorrelationRecord:
+    def test_trajectory_uses_the_pair_correlation_function(self, nmr_model):
+        traj = evolve_master(
+            nmr_model, DensityMatrix.pure([0.6, 0.0, 0.0, 0.8]), np.linspace(0.0, 2.0, 9)
+        )
+        for value, state in zip(traj.pair_correlations, traj.states):
+            assert value == pair_correlation(state)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+class TestNonFiniteInputs:
+    def test_density_matrix_rejects_non_finite_entries(self, value):
+        entries = np.eye(2, dtype=complex) / 2.0
+        entries[0, 1] = entries[1, 0] = value
+        with pytest.raises(NonFiniteValue):
+            DensityMatrix(entries)
+
+    def test_gibbs_state_rejects_non_finite_beta(self, value):
+        with pytest.raises(NonFiniteValue):
+            gibbs_state(zeeman_hamiltonian(TWO_PI * 400e6), value)
+
+    def test_lindblad_model_rejects_non_finite_rate(self, ops, value):
+        h = zeeman_hamiltonian(TWO_PI * 100.0)
+        term = JumpTerm(ops["I1-"], bohr_frequency=TWO_PI * 100.0, rate=value, channel="c")
+        with pytest.raises(NonFiniteValue):
+            LindbladModel(h_system=h, jump_terms=(term,), beta=BETA_310)
+
+
+@pytest.mark.parametrize(
+    "bad", [{"temperature": math.nan}, {"base_rate": math.nan}, {"base_rate": math.inf}]
+)
+def test_default_model_rejects_non_finite_inputs(bad):
+    # An infinite temperature is the beta = 0 limit, so inf goes through the rate.
+    args = {"omega0": TWO_PI * 400e6, "omega_d": TWO_PI * 10e3, "temperature": 310.0}
+    with pytest.raises(NonFiniteValue):
+        default_thermal_model(**{**args, **bad})
