@@ -131,7 +131,7 @@ def _sig4(x: float) -> str:
 
 
 def _dump_json(doc: dict, destination: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if destination:
         Path(destination).write_text(text, encoding="utf-8")
     else:

@@ -189,8 +189,14 @@ def stability_gate(
     Stable means: CV of t2_star at or below `cv_threshold`, worst relative
     deviation from the window median at or below `dev_threshold`, and, when
     the MT column is present, its CV also within `cv_threshold`.  Needs at
-    least three rows.
+    least three rows.  A threshold must be finite (NonFiniteValue) and
+    non-negative (ValueError): an infinite one would pass any series.
     """
+    for name, value in (("cv_threshold", cv_threshold), ("dev_threshold", dev_threshold)):
+        if not isfinite(value):
+            raise NonFiniteValue(f"{name} must be finite, got {value}")
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     if len(series) < 3:
         raise InsufficientRows(f"gate needs >= 3 rows, got {len(series)}")
     t2 = series.t2_star

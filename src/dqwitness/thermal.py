@@ -8,6 +8,9 @@ dissipative parts of the generator commute, and the propagator factorizes
 into an exact phase rotation times the exponential of the small dissipator.
 That factorization is what keeps fixed-point residuals at machine scale even
 with Zeeman frequencies in the hundreds of MHz.
+
+scipy is imported on the first master-equation propagation, not with the
+module, so `bounds` and `witness` run on numpy alone.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import OperatorMatrix, _check_hermitian, as_matrix, build_two_spin_operators
 from .constants import HBAR, K_BOLTZMANN
@@ -303,6 +305,13 @@ def _dissipator_superop(eig_jumps, rates, dim) -> np.ndarray:
     return d_super
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, with scipy imported on first use rather than with the module."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
+
+
 def _ensure_physical(entries: np.ndarray) -> np.ndarray:
     """Hermitize and clip tiny negative eigenvalues; raise beyond 1e-8."""
     m = (entries + entries.conj().T) / 2.0
@@ -479,7 +488,15 @@ def default_thermal_model(
     temperature: float,
     base_rate: float = 1.0,
 ) -> LindbladModel:
-    """Zeeman + secular dipolar system with transverse single-spin couplings."""
+    """Zeeman + secular dipolar system with transverse single-spin couplings.
+
+    The temperature (K) must be finite (NonFiniteValue) and positive
+    (ValueError).
+    """
+    if not np.isfinite(temperature):
+        raise NonFiniteValue(f"temperature must be finite, got {temperature}")
+    if temperature <= 0:
+        raise ValueError(f"temperature must be > 0, got {temperature}")
     h = OperatorMatrix(
         zeeman_hamiltonian(omega0).entries + secular_dipolar_hamiltonian(omega_d).entries,
         label="H_system",

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import dqwitness
 from dqwitness.cli import (
     EXIT_BY_VERDICT,
+    _dump_json,
     bpp_curve,
     build_parser,
     build_report,
@@ -167,6 +168,15 @@ class TestWitnessCommand:
         capsys.readouterr()
         assert main(["witness", "--input", str(path), "--cv-threshold", "0.01"]) == 3
 
+    @pytest.mark.parametrize("flag", ["--cv-threshold", "--dev-threshold"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.01"])
+    def test_bad_gate_threshold_exits_one(self, dropping_csv, capsys, flag, value):
+        # Infinite thresholds would pass the dropping series (exit 2, not 3).
+        assert main(["witness", "--input", dropping_csv, f"{flag}={value}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert flag.lstrip("-").replace("-", "_") in err
+
 
 class TestReportAssembly:
     def test_library_level_report(self):
@@ -284,6 +294,12 @@ class TestNonFiniteInputs:
         assert main(["witness", "--input", stable_csv, flag, value]) == 1
         assert main(["bounds", flag, value]) == 1
         assert "must be finite" in capsys.readouterr().err
+
+    def test_report_refuses_non_finite_numbers(self, capsys):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                _dump_json({"gate": {"t2_cv": value}}, None)
+        assert capsys.readouterr().out == ""
 
 
 def test_bounds_warns_once_outside_validity_regime(capsys):

@@ -138,6 +138,19 @@ class TestStabilityGate:
         loose = stability_gate(make_series(t2), cv_threshold=0.5, dev_threshold=0.5)
         assert loose.status == "stable"
 
+    @pytest.mark.parametrize("name", ["cv_threshold", "dev_threshold"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected(self, name, value):
+        # An infinite threshold would pass any series, certifying an unstable one.
+        with pytest.raises(NonFiniteValue, match=name):
+            stability_gate(make_series([0.045] * 10), **{name: value})
+
+    @pytest.mark.parametrize("name", ["cv_threshold", "dev_threshold"])
+    def test_negative_threshold_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            stability_gate(make_series([0.045] * 10), **{name: -0.01})
+        assert stability_gate(make_series([0.045] * 10), **{name: 0.0}).status == "stable"
+
 
 class TestNonFiniteFields:
     @pytest.mark.parametrize("column", [0, 1, 2, 3])

@@ -1,15 +1,21 @@
-"""The traced benchmark wraps package functions by attribute name.
+"""The benchmark harness keeps running against the package.
 
-A refactor that drops one of those names (say, an import of `expm` into
+The traced benchmark wraps package functions by attribute name.  A refactor
+that drops one of those names (say, the module-level `expm` of
 `dqwitness.thermal`) would crash `perfbench/run.py --trace 1` with an
-AttributeError, so every target must resolve.
+AttributeError, so every target must resolve.  A one-second untraced run of
+every workload checks the rest of the harness; no timing is asserted.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_every_traced_target_resolves():
@@ -22,3 +28,13 @@ def test_every_traced_target_resolves():
         missing += [f"{m}.{attr}" for m in modules
                     if not hasattr(importlib.import_module(m), attr)]
     assert missing == []
+
+
+def test_every_workload_runs_and_checks_correct():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
+         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1])["correct"] is True

@@ -312,11 +312,25 @@ class TestNonFiniteInputs:
             LindbladModel(h_system=h, jump_terms=(term,), beta=BETA_310)
 
 
+DEFAULT_MODEL_ARGS = {"omega0": TWO_PI * 400e6, "omega_d": TWO_PI * 10e3, "temperature": 310.0}
+
+
 @pytest.mark.parametrize(
-    "bad", [{"temperature": math.nan}, {"base_rate": math.nan}, {"base_rate": math.inf}]
+    "bad",
+    [
+        {"temperature": math.nan},
+        {"base_rate": math.nan},
+        {"base_rate": math.inf},
+        {"temperature": math.inf},
+        {"temperature": -math.inf},
+    ],
 )
 def test_default_model_rejects_non_finite_inputs(bad):
-    # An infinite temperature is the beta = 0 limit, so inf goes through the rate.
-    args = {"omega0": TWO_PI * 400e6, "omega_d": TWO_PI * 10e3, "temperature": 310.0}
     with pytest.raises(NonFiniteValue):
-        default_thermal_model(**{**args, **bad})
+        default_thermal_model(**{**DEFAULT_MODEL_ARGS, **bad})
+
+
+@pytest.mark.parametrize("temperature", [0.0, -0.0, -310.0])
+def test_default_model_rejects_non_positive_temperature(temperature):
+    with pytest.raises(ValueError, match="temperature"):
+        default_thermal_model(**{**DEFAULT_MODEL_ARGS, "temperature": temperature})
