@@ -89,6 +89,21 @@ def _check_hermitian(
         raise error(f"relative Hermiticity deviation {dev:.3e}")
 
 
+def _check_time_grid(times) -> np.ndarray:
+    """The grid as a float array, if it is 1-D, non-empty, finite and strictly increasing.
+
+    Raises NonFiniteValue for a NaN or infinite time and ValueError otherwise.
+    """
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError(f"time grid must be 1-D and non-empty, got shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise NonFiniteValue("time grid must be finite")
+    if not np.all(np.diff(t) > 0):
+        raise ValueError("times must be strictly increasing")
+    return t
+
+
 def as_matrix(op) -> np.ndarray:
     """Entry array of an OperatorMatrix, or a complex ndarray view of raw input."""
     if isinstance(op, OperatorMatrix):
@@ -402,13 +417,16 @@ def heisenberg_flow_spectrum(basis: SectorBasis, h: Sequence[float]) -> AdjointS
     With real structure constants f the flow matrix is M_bc = -sum_a h_a f_abc.
     Purely imaginary spectra mean bounded oscillation; a real nonzero
     eigenvalue means hyperbolic growth along some direction.  The real/
-    imaginary tests use tolerance 1e-9 * ||h||.
+    imaginary tests use tolerance 1e-9 * ||h||.  A non-finite coefficient
+    raises NonFiniteValue.
     """
     _require_closed(basis)
     f = real_structure_constants(basis)
     hv = np.asarray(h, dtype=float)
     if hv.shape != (basis.size,):
         raise ValueError(f"coefficient vector must have length {basis.size}")
+    if not np.isfinite(hv).all():
+        raise NonFiniteValue("coefficient vector must be finite")
     hnorm = float(np.linalg.norm(hv))
     if hnorm == 0.0:
         return AdjointSpectrum(

@@ -63,9 +63,7 @@ class PhysicalParams:
     omega_0: float
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not isfinite(value):
-                raise NonFiniteValue(f"{name} must be finite, got {value}")
+        _require_finite(**vars(self))
         positive = {
             "omega_d": self.omega_d,
             "temperature": self.temperature,
@@ -134,7 +132,11 @@ def eta_seq(params: PhysicalParams) -> float:
 
 
 def spectral_density(omega_0: float, tau_c: float, mean_square_omega_d: float) -> float:
-    """Lorentzian bath spectral density 2 <omega_d^2> tau_c / (1 + omega_0^2 tau_c^2)."""
+    """Lorentzian bath spectral density 2 <omega_d^2> tau_c / (1 + omega_0^2 tau_c^2).
+
+    Every argument must be finite (NonFiniteValue otherwise).
+    """
+    _require_finite(omega_0=omega_0, tau_c=tau_c, mean_square_omega_d=mean_square_omega_d)
     if tau_c <= 0:
         raise ValueError("tau_c must be positive")
     return 2.0 * mean_square_omega_d * tau_c / (1.0 + (omega_0 * tau_c) ** 2)
@@ -216,12 +218,22 @@ def witness(
 
 
 def fractional_amplitude(s_dq: float, m0: float) -> float:
-    """Fractional amplitude from a raw pair signal and its calibration scale."""
+    """Fractional amplitude from a raw pair signal and its calibration scale.
+
+    Both must be finite (NonFiniteValue otherwise).
+    """
+    _require_finite(s_dq=s_dq, m0=m0)
     if m0 <= 0:
         raise ValueError("calibration magnetization must be positive")
     if s_dq < 0:
         raise NegativeAmplitude(f"raw signal must be >= 0, got {s_dq}")
     return s_dq / m0
+
+
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not isfinite(value):
+            raise NonFiniteValue(f"{name} must be finite, got {value}")
 
 
 def _check_gate_status(gate_status: str) -> None:

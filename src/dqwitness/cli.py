@@ -1,11 +1,10 @@
-"""Command-line pipeline: bounds, witness, simulate, figure.
+"""Command-line pipeline: bounds, witness, figure.
 
 Subcommands
 -----------
 bounds    print the ceiling decomposition for the resolved parameters
 witness   ingest a measurement CSV, run the stability gate, emit the report
-simulate  write a trajectory CSV (zq_signal, dq_signal, open_trajectory)
-figure    write figure data (bpp_curve plus the trajectory kinds)
+figure    write figure data (bpp_curve, zq_signal, dq_signal, open_trajectory)
 
 Exit codes: 0 nothing excluded (or non-witness subcommand success), 1 error,
 2 classically inexplicable, 3 witness positive but loophole open.  Parameter
@@ -20,9 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from math import pi
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -59,20 +59,16 @@ EXIT_BY_VERDICT = {
 
 FIGURE_KINDS = ("bpp_curve", "zq_signal", "dq_signal", "open_trajectory")
 
-# The subcommands that write one kind of CSV: help line, noun in their error
-# messages, accepted kinds.
-KIND_COMMANDS = {
-    "simulate": ("write a trajectory CSV", "simulation", FIGURE_KINDS[1:]),
-    "figure": ("write figure data CSV", "figure", FIGURE_KINDS),
-}
-
 BPP_SAMPLES = 300
 BPP_X_MAX = 5.0
 
+ZQ_COUPLING = 2 * pi * 10.0
 ZQ_PERIODS = 10.0
+ZQ_SAMPLES = 1001
 DQ_INDEX = 0.5
 DQ_COUPLING = 1.0
 DQ_T_MAX = 2.0
+DQ_SAMPLES = 201
 OPEN_T_MAX = 5.0
 OPEN_SAMPLES = 101
 
@@ -205,34 +201,28 @@ def run_witness(
 
 # -- trajectory and figure emission ------------------------------------------
 
-def _open_destination(destination) -> tuple[TextIO, bool]:
+def _write_csv(
+    destination: str | None, header: list[str], columns: Sequence[np.ndarray]
+) -> None:
+    """One header line, then one row of repr-exact floats per sample; stdout if no path."""
     if destination is None:
-        return sys.stdout, False
-    if hasattr(destination, "write"):
-        return destination, False
-    return open(destination, "w", encoding="utf-8", newline=""), True
-
-
-def _write_csv(destination, header: list[str], columns: Sequence[np.ndarray]) -> None:
-    """One header line, then one row of repr-exact floats per sample."""
-    stream, owned = _open_destination(destination)
-    try:
+        target = nullcontext(sys.stdout)
+    else:
+        target = open(destination, "w", encoding="utf-8", newline="")
+    with target as stream:
         stream.write(",".join(header) + "\n")
         for row in zip(*columns):
             stream.write(",".join(repr(float(v)) for v in row) + "\n")
-    finally:
-        if owned:
-            stream.close()
 
 
-def write_trajectory_csv(traj: Trajectory, destination) -> None:
+def write_trajectory_csv(traj: Trajectory, destination: str | None) -> None:
     """Columns: time_s, then one column per observable."""
     keys = list(traj.expectations)
     columns = [traj.times] + [np.real(traj.expectations[k]) for k in keys]
     _write_csv(destination, ["time_s"] + keys, columns)
 
 
-def write_open_trajectory_csv(traj: OpenTrajectory, destination) -> None:
+def write_open_trajectory_csv(traj: OpenTrajectory, destination: str | None) -> None:
     """Columns: time_s, relative_entropy, dq_amplitude, pair_correlation."""
     _write_csv(
         destination,
@@ -241,29 +231,23 @@ def write_open_trajectory_csv(traj: OpenTrajectory, destination) -> None:
     )
 
 
-def zq_exchange_trajectory(
-    j_coupling: float = 2 * pi * 10.0, samples: int = 1001
-) -> Trajectory:
+def zq_exchange_trajectory() -> Trajectory:
     """Flip-flop exchange <S0(t)> from the up-down state under J(S+ + S-).
 
     The observable oscillates as cos(2Jt)/2, so one period is pi/J seconds;
-    the grid spans ZQ_PERIODS of them.
+    the grid spans ZQ_PERIODS of them at J = ZQ_COUPLING.
     """
     ops = build_two_spin_operators()
-    h = j_coupling * (ops["S+"].entries + ops["S-"].entries)
-    if j_coupling != 0:
-        t_max = ZQ_PERIODS * pi / abs(j_coupling)
-    else:
-        t_max = 1.0
-    times = np.linspace(0.0, t_max, samples)
+    h = ZQ_COUPLING * (ops["S+"].entries + ops["S-"].entries)
+    times = np.linspace(0.0, ZQ_PERIODS * pi / ZQ_COUPLING, ZQ_SAMPLES)
     psi0 = StateVector.basis_state(4, 1)  # |up down>
     return propagate(h, psi0, times, [ops["S0"]])
 
 
-def dq_pair_trajectory(samples: int = 201) -> Trajectory:
+def dq_pair_trajectory() -> Trajectory:
     """Vacuum pair signal on the truncated ladder, auto-escalated."""
     rep = build_su11_rep(DQ_INDEX, 64)
-    times = np.linspace(0.0, DQ_T_MAX, samples)
+    times = np.linspace(0.0, DQ_T_MAX, DQ_SAMPLES)
     return hyperbolic_signal(rep, DQ_COUPLING, times)
 
 
@@ -288,11 +272,12 @@ def bpp_curve() -> tuple[np.ndarray, np.ndarray]:
     return x, normalized_spectral_density(x)
 
 
-def emit_figure_data(kind: str, params: PhysicalParams, destination) -> None:
-    """Write deterministic CSV data for one figure kind.
+def emit_figure_data(kind: str, params: PhysicalParams, destination: str | None) -> None:
+    """Write deterministic CSV data for one figure kind to a path, or stdout if None.
 
     Kinds: bpp_curve (x, normalized density), zq_signal and dq_signal
     (closed-system trajectories), open_trajectory (bath relaxation record).
+    An unknown kind raises UnsupportedKind before anything is written.
     """
     if kind == "bpp_curve":
         _write_csv(destination, ["x", "j_normalized"], bpp_curve())
@@ -337,10 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--dev-threshold", dest="dev_threshold", type=float, default=DEFAULT_DEV_THRESHOLD
     )
 
-    for command, (summary, _, kinds) in KIND_COMMANDS.items():
-        p_kind = sub.add_parser(command, help=summary)
-        _add_common_flags(p_kind)
-        p_kind.add_argument("--kind", required=True, help=f"one of {kinds}")
+    p_figure = sub.add_parser("figure", help="write figure data CSV")
+    _add_common_flags(p_figure)
+    p_figure.add_argument("--kind", required=True, help=f"one of {FIGURE_KINDS}")
     return parser
 
 
@@ -370,11 +354,6 @@ def main(argv=None) -> int:
                 destination=args.output,
             )
             return code
-        _, noun, kinds = KIND_COMMANDS[args.command]
-        if args.kind not in kinds:
-            raise UnsupportedKind(
-                f"unknown {noun} kind {args.kind!r}; expected one of {kinds}"
-            )
         emit_figure_data(args.kind, params, args.output)
         return 0
     except SystemExit as exc:  # --help

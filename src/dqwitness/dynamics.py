@@ -12,11 +12,12 @@ automatically until the top-level population is harmless.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import OperatorMatrix, _check_hermitian, as_matrix
+from .algebra import OperatorMatrix, _check_hermitian, _check_time_grid, as_matrix
 from .errors import (
     AmbiguousGrowth,
     DimensionMismatch,
@@ -65,7 +66,12 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Expectation-value series on a strictly increasing time grid."""
+    """Finite expectation-value series on a time grid.
+
+    The grid must be 1-D, non-empty, finite and strictly increasing; a
+    non-finite time or series value raises NonFiniteValue, any other breach
+    ValueError.
+    """
 
     times: np.ndarray
     expectations: Mapping[str, np.ndarray]
@@ -74,11 +80,7 @@ class Trajectory:
     n_levels: int | None = None
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=float).reshape(-1)
-        if t.size == 0:
-            raise ValueError("empty time grid")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("times must be strictly increasing")
+        t = _check_time_grid(self.times).copy()  # frozen below; never the caller's array
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
         exp = {}
@@ -86,6 +88,8 @@ class Trajectory:
             arr = np.array(series)
             if arr.shape != t.shape:
                 raise ValueError(f"series {key!r} does not match the time grid")
+            if not np.isfinite(arr).all():
+                raise NonFiniteValue(f"series {key!r} must be finite")
             arr.flags.writeable = False
             exp[key] = arr
         object.__setattr__(self, "expectations", exp)
@@ -115,10 +119,12 @@ def propagate(
 
     H is in rad/s and times in seconds.  Expectation values <psi(t)|O|psi(t)>
     are reported per observable, keyed by the observable's label.  Raises
-    NonHermitianGenerator / DimensionMismatch on bad inputs.
+    NonHermitianGenerator / DimensionMismatch on bad inputs, and rejects a bad
+    time grid before the eigendecomposition (see Trajectory).
     """
     h = as_matrix(hamiltonian)
     _check_hermitian(h)
+    tgrid = _check_time_grid(times)
     dim = h.shape[0]
     if psi0.dim != dim:
         raise DimensionMismatch(f"state dim {psi0.dim} vs generator dim {dim}")
@@ -126,7 +132,6 @@ def propagate(
     if any(o.shape != (dim, dim) for o in obs):
         raise DimensionMismatch("observable dimension differs from generator")
 
-    tgrid = np.asarray(times, dtype=float).reshape(-1)
     states = _spectral_states(h, psi0.amplitudes, tgrid)
     values = [np.sum(states.conj() * (o @ states), axis=0) for o in obs]
 
@@ -163,6 +168,8 @@ class Su11Rep:
 
 def build_su11_rep(k: float, n_max: int) -> Su11Rep:
     """Ladder matrices of the lowest-weight representation with index k."""
+    if not isfinite(k):
+        raise NonFiniteValue(f"index must be finite, got {k}")
     if k <= 0:
         raise InvalidBargmannIndex(f"index must be positive, got {k}")
     if n_max < 2:
@@ -205,10 +212,14 @@ def hyperbolic_signal(
     top-level population and its weighted contribution (n+1) * population
     stay below DEFAULT_TAIL_BOUND at every reported time; the second condition
     keeps the truncation error on s(t) at the same scale as the tail.
-    Raises TruncationExceeded when no size up to `n_limit` suffices.
+    Raises TruncationExceeded when no size up to `n_limit` suffices.  A
+    non-finite coupling raises NonFiniteValue and a bad or negative time grid
+    raises before the first eigendecomposition.
     """
-    tgrid = np.asarray(times, dtype=float).reshape(-1)
-    if np.any(tgrid < 0):
+    if not isfinite(g):
+        raise NonFiniteValue(f"coupling must be finite, got {g}")
+    tgrid = _check_time_grid(times)
+    if tgrid[0] < 0:
         raise ValueError("times must be non-negative")
     current = rep
     while True:
@@ -231,21 +242,19 @@ def hyperbolic_signal(
     )
 
 
-def _select_series(traj: Trajectory, signal: str | None) -> np.ndarray:
-    if signal is not None:
-        return np.real(traj.expectations[signal])
+def _select_series(traj: Trajectory) -> np.ndarray:
     if len(traj.expectations) != 1:
-        raise ValueError("trajectory has several series; name one via `signal`")
+        raise ValueError("growth is classified on a trajectory with exactly one series")
     return np.real(next(iter(traj.expectations.values())))
 
 
-def fit_log_slope(traj: Trajectory, signal: str | None = None) -> tuple[float, float]:
-    """Least-squares slope of log|s| over the final half-window.
+def fit_log_slope(traj: Trajectory) -> tuple[float, float]:
+    """Least-squares slope of log|s| of the one series over the final half-window.
 
     Returns (slope, relative residual).  Samples where the signal is
     numerically zero are excluded from the fit.
     """
-    values = _select_series(traj, signal)
+    values = _select_series(traj)
     half = values.size // 2
     t = traj.times[half:]
     v = np.abs(values[half:])
@@ -264,17 +273,18 @@ def fit_log_slope(traj: Trajectory, signal: str | None = None) -> tuple[float, f
     return float(coeff[0]), residual
 
 
-def classify_growth(traj: Trajectory, signal: str | None = None) -> str:
+def classify_growth(traj: Trajectory) -> str:
     """Empirical discriminator between bounded oscillation and hyperbolic growth.
 
     `bounded_oscillatory` when the per-window envelope max|s| never grows by
     more than ENVELOPE_SLACK between successive windows; `hyperbolic` when
     instead log|s| over the final half-window is close to linear (relative
-    fit residual below FIT_RESIDUAL_MAX) with positive slope.  The grid
-    must carry at least 16 samples and is expected to span at least two
-    characteristic periods or growth times of the signal.
+    fit residual below FIT_RESIDUAL_MAX) with positive slope.  The trajectory
+    must carry exactly one series (ValueError otherwise) of at least 16
+    samples, and is expected to span at least two characteristic periods or
+    growth times of the signal.
     """
-    values = _select_series(traj, signal)
+    values = _select_series(traj)
     if values.size < 16:
         raise InsufficientSamples(f"need >= 16 samples, got {values.size}")
     chunks = np.array_split(np.abs(values), ENVELOPE_WINDOWS)
@@ -285,7 +295,7 @@ def classify_growth(traj: Trajectory, signal: str | None = None) -> str:
     ]
     if not any(grows):
         return "bounded_oscillatory"
-    slope, residual = fit_log_slope(traj, signal)
+    slope, residual = fit_log_slope(traj)
     if slope > 0 and residual < FIT_RESIDUAL_MAX:
         return "hyperbolic"
     raise AmbiguousGrowth(

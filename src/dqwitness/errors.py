@@ -100,4 +100,4 @@ class InsufficientRows(DqwitnessError):
 
 
 class UnsupportedKind(DqwitnessError):
-    """Unknown figure or simulation kind."""
+    """Unknown figure kind."""

@@ -78,17 +78,15 @@ class MeasurementSeries:
         return int(self.times.size)
 
 
-def ingest(source: str | Path | TextIO) -> MeasurementSeries:
-    """Parse and validate a measurement CSV.
+def ingest(path: str | Path) -> MeasurementSeries:
+    """Parse and validate a measurement CSV file.
 
     Blank lines and rows that do not parse as the right number of floats are
     skipped and recorded in the series diagnostics; sign/range violations and
     out-of-order time stamps are hard errors naming the offending line.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return _ingest_stream(handle)
-    return _ingest_stream(source)
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        return _ingest_stream(handle)
 
 
 def _ingest_stream(stream: TextIO) -> MeasurementSeries:
@@ -155,7 +153,7 @@ def _ingest_stream(stream: TextIO) -> MeasurementSeries:
 
 
 def ingest_text(text: str) -> MeasurementSeries:
-    """Convenience wrapper over `ingest` for in-memory CSV content."""
+    """`ingest` for in-memory CSV content."""
     return _ingest_stream(io.StringIO(text))
 
 

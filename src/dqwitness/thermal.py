@@ -21,7 +21,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import OperatorMatrix, _check_hermitian, as_matrix, build_two_spin_operators
+from .algebra import (
+    OperatorMatrix,
+    _check_hermitian,
+    _check_time_grid,
+    as_matrix,
+    build_two_spin_operators,
+)
 from .constants import HBAR, K_BOLTZMANN
 from .errors import (
     CeilingPrecondition,
@@ -344,12 +350,12 @@ def evolve_master(
     raise PositivityBreakdown.  The trajectory records the relative entropy
     to the model's thermal state and, for two-spin systems, the pair
     coherence amplitude |tr(rho K+)| and the longitudinal pair correlation.
+    The grid must be 1-D, non-empty, finite and strictly increasing
+    (NonFiniteValue for a non-finite time, ValueError otherwise).
     """
     if rho0.dim != model.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} vs model dim {model.dim}")
-    tgrid = np.asarray(times, dtype=float).reshape(-1)
-    if tgrid.size > 1 and not np.all(np.diff(tgrid) > 0):
-        raise ValueError("times must be strictly increasing")
+    tgrid = _check_time_grid(times)
 
     dim = model.dim
     w = model._evals
@@ -445,8 +451,13 @@ def ceiling_scan(
 
     Requires the initial pair correlation at or below the thermal one (up to
     1e-12); starting above it the scan has nothing to certify and raises
-    CeilingPrecondition.
+    CeilingPrecondition.  The tolerance must be finite (NonFiniteValue) and
+    non-negative (ValueError): an infinite one would pass any trajectory.
     """
+    if not np.isfinite(tolerance):
+        raise NonFiniteValue(f"tolerance must be finite, got {tolerance}")
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     if model.dim != 4:
         raise DimensionMismatch("ceiling scan is defined for the two-spin system")
     gibbs_value = pair_correlation(model.gibbs())

@@ -20,6 +20,7 @@ from dqwitness.algebra import (
 )
 from dqwitness.errors import (
     LinearlyDependentBasis,
+    NonFiniteValue,
     NotClosed,
     NotEigenoperator,
     NotHermitianTriple,
@@ -207,6 +208,12 @@ class TestFlowSpectrum:
             np.sort_complex(spec.eigenvalues), [-2.0, 0.0, 2.0], atol=1e-12
         )
         assert spec.classification == "hyperbolic"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_coefficient_rejected(self, eigensolves, value):
+        with pytest.raises(NonFiniteValue):
+            heisenberg_flow_spectrum(abstract_basis("su11"), [value, 0.0, 0.0])
+        assert eigensolves == []
 
     def test_zero_generator_is_oscillatory(self):
         spec = heisenberg_flow_spectrum(abstract_basis("su11"), [0.0, 0.0, 0.0])

@@ -219,6 +219,22 @@ class TestNonFiniteInputs:
             PhysicalParams(**values)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_fractional_amplitude_rejects_non_finite_input(self, value, position):
+        args = [0.1, 1.0]
+        args[position] = value
+        with pytest.raises(NonFiniteValue):
+            fractional_amplitude(*args)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_spectral_density_rejects_non_finite_input(self, value, position):
+        args = [DEFAULTS.omega_0, DEFAULTS.tau_c, DEFAULTS.omega_d**2]
+        args[position] = value
+        with pytest.raises(NonFiniteValue):
+            spectral_density(*args)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_witness_rejects_non_finite_amplitude(self, value):
         with pytest.raises(NonFiniteValue):
             witness(value, DEFAULTS, "stable")

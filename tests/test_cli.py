@@ -24,9 +24,10 @@ from dqwitness.cli import (
     parse_config_file,
     resolve_params,
     run_witness,
-    zq_exchange_trajectory,
 )
+from dqwitness.algebra import build_two_spin_operators
 from dqwitness.bounds import PhysicalParams, ValidityRegimeWarning
+from dqwitness.dynamics import StateVector, propagate
 from dqwitness.errors import UnsupportedKind
 from dqwitness.measurement import GateResult, MeasurementSeries, ingest_text, stability_gate
 
@@ -231,7 +232,10 @@ class TestFigures:
         assert len(rows) == 300
 
     def test_zq_signal_with_frozen_drive_is_constant(self):
-        traj = zq_exchange_trajectory(j_coupling=0.0, samples=32)
+        s0 = build_two_spin_operators()["S0"]
+        traj = propagate(
+            np.zeros((4, 4)), StateVector.basis_state(4, 1), np.linspace(0, 1, 32), [s0]
+        )
         values = traj.expectations["S0"]
         np.testing.assert_allclose(values, values[0], atol=1e-14)
         assert values[0] == pytest.approx(0.5)
@@ -246,7 +250,7 @@ class TestFigures:
         assert s_final == pytest.approx(13.154, abs=1e-3)
 
     def test_dq_trajectory_reports_truncation(self):
-        traj = dq_pair_trajectory(samples=41)
+        traj = dq_pair_trajectory()
         assert traj.truncation_tail < 1e-8
         assert traj.n_levels > 64
 
@@ -261,11 +265,14 @@ class TestFigures:
 
     def test_simulate_kinds_and_rejections(self, capsys, tmp_path):
         out = tmp_path / "traj.csv"
-        assert main(["simulate", "--kind", "zq_signal", "--output", str(out)]) == 0
-        header = out.read_text().splitlines()[0]
-        assert header == "time_s,S0"
-        assert main(["simulate", "--kind", "bpp_curve"]) == 1
-        assert main(["figure", "--kind", "bogus"]) == 1
+        assert main(["simulate", "--kind", "zq_signal", "--output", str(out)]) == 1
+        assert "invalid choice: 'simulate'" in capsys.readouterr().err
+        assert main(["figure", "--kind", "bogus", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown figure kind 'bogus'; expected one of "
+            "('bpp_curve', 'zq_signal', 'dq_signal', 'open_trajectory')\n"
+        )
+        assert not out.exists()
 
     def test_unsupported_kind_error_type(self):
         with pytest.raises(UnsupportedKind):
@@ -331,7 +338,7 @@ class TestOneDefaultsTable:
         (subparsers,) = [
             a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
         ]
-        assert set(subparsers.choices) == {"bounds", "witness", "simulate", "figure"}
+        assert set(subparsers.choices) == {"bounds", "witness", "figure"}
         for command, sub in subparsers.choices.items():
             flags = {
                 a.dest: a.option_strings
@@ -360,13 +367,6 @@ class TestOneDefaultsTable:
             ["witness", "--input", "x.csv", "--config", str(config)]
         )
         assert resolve_params(args) == PhysicalParams.from_hz(**values)
-
-    @pytest.mark.parametrize("kind", ["zq_signal", "dq_signal", "open_trajectory"])
-    def test_simulate_and_figure_write_identical_csv(self, tmp_path, kind):
-        sim, fig = tmp_path / "sim.csv", tmp_path / "fig.csv"
-        assert main(["simulate", "--kind", kind, "--output", str(sim)]) == 0
-        assert main(["figure", "--kind", kind, "--output", str(fig)]) == 0
-        assert sim.read_bytes() == fig.read_bytes()
 
 
 finite_amplitude = st.floats(min_value=0.0, max_value=10.0)

@@ -246,9 +246,66 @@ class TestStateAndTrajectoryInvariants:
                 representation_tag="two_spin",
             )
 
+    def test_several_series_rejected(self):
+        times = np.linspace(0, 1, 32)
+        traj = Trajectory(
+            times=times,
+            expectations={"a": np.zeros(32), "b": np.ones(32)},
+            representation_tag="two_spin",
+        )
+        with pytest.raises(ValueError, match="one series"):
+            classify_growth(traj)
+
+
+# Each bad grid and the error it raises, before any eigendecomposition.
+BAD_GRIDS = [
+    ([0.0, np.inf], NonFiniteValue),
+    ([0.0, np.nan], NonFiniteValue),
+    ([np.nan], NonFiniteValue),
+    ([], ValueError),
+    ([1.0, 0.5], ValueError),
+    ([[0.0, 1.0]], ValueError),
+]
+
+
+@pytest.mark.parametrize("times, error", BAD_GRIDS)
+class TestTimeGrid:
+    def test_trajectory_rejects_bad_grid(self, times, error):
+        with pytest.raises(error):
+            Trajectory(times=times, expectations={}, representation_tag="two_spin")
+
+    def test_propagate_rejects_bad_grid(self, ops, eigensolves, times, error):
+        with pytest.raises(error):
+            propagate(ops["S0"], StateVector.basis_state(4, 1), times, [ops["S0"]])
+        assert eigensolves == []
+
+    def test_hyperbolic_signal_rejects_bad_grid(self, eigensolves, times, error):
+        rep = build_su11_rep(0.5, 64)
+        with pytest.raises(error):
+            hyperbolic_signal(rep, 1.0, times)
+        assert eigensolves == []
+
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 class TestNonFiniteInputs:
+    def test_trajectory_rejects_non_finite_series(self, value):
+        with pytest.raises(NonFiniteValue, match="'s'"):
+            Trajectory(
+                times=np.linspace(0, 1, 32),
+                expectations={"s": np.full(32, value)},
+                representation_tag="two_spin",
+            )
+
+    def test_ladder_index_must_be_finite(self, value):
+        with pytest.raises(NonFiniteValue):
+            build_su11_rep(value, 8)
+
+    def test_ladder_coupling_must_be_finite(self, eigensolves, value):
+        rep = build_su11_rep(0.5, 64)
+        with pytest.raises(NonFiniteValue):
+            hyperbolic_signal(rep, value, np.linspace(0, 2, 21))
+        assert eigensolves == []
+
     def test_state_vector_rejects_non_finite_amplitude(self, value):
         with pytest.raises(NonFiniteValue):
             StateVector(np.array([value, 0.0]))

@@ -50,6 +50,12 @@ def nmr_model():
 
 
 @pytest.fixture(scope="module")
+def mixed():
+    """Maximally mixed two-spin state, built before any eigensolver is counted."""
+    return DensityMatrix.maximally_mixed(4)
+
+
+@pytest.fixture(scope="module")
 def khz_model():
     """Same structure at kHz scale, where absolute residuals are meaningful."""
     return default_thermal_model(TWO_PI * 1e3, TWO_PI * 10e3, 310.0)
@@ -282,6 +288,42 @@ class TestCeilingScan:
         assert pair_correlation(hot) > 0.1
         with pytest.raises(CeilingPrecondition):
             ceiling_scan(nmr_model, hot, np.linspace(0.0, 1.0, 17))
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, nmr_model, mixed, eigensolves, tolerance):
+        # An infinite tolerance would pass any trajectory.
+        with pytest.raises(NonFiniteValue, match="tolerance"):
+            ceiling_scan(nmr_model, mixed, [0.0, 1.0], tolerance)
+        assert eigensolves == []
+
+    def test_negative_tolerance_rejected(self, nmr_model, mixed, eigensolves):
+        with pytest.raises(ValueError, match="tolerance"):
+            ceiling_scan(nmr_model, mixed, [0.0, 1.0], -1.0)
+        assert eigensolves == []
+
+    def test_zero_tolerance_accepted(self, nmr_model):
+        scan = ceiling_scan(nmr_model, nmr_model.gibbs(), np.linspace(0.0, 1.0, 5), 0.0)
+        assert scan.max_transient <= scan.gibbs_value + 1e-12
+
+    def test_empty_grid_rejected(self, nmr_model, mixed):
+        with pytest.raises(ValueError, match="time grid"):
+            ceiling_scan(nmr_model, mixed, [])
+
+
+@pytest.mark.parametrize(
+    "times, error",
+    [
+        ([0.0, math.inf], NonFiniteValue),
+        ([math.nan], NonFiniteValue),
+        ([], ValueError),
+        ([1.0, 0.5], ValueError),
+        ([[0.0, 1.0]], ValueError),
+    ],
+)
+def test_evolve_master_rejects_bad_grid(nmr_model, mixed, eigensolves, times, error):
+    with pytest.raises(error):
+        evolve_master(nmr_model, mixed, times)
+    assert eigensolves == []
 
 
 class TestPairCorrelationRecord:
