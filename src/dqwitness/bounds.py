@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import isfinite, pi
+from math import inf, isfinite, pi
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -109,8 +109,19 @@ def dipolar_energy(params: PhysicalParams) -> float:
 
 
 def epsilon_th(params: PhysicalParams) -> float:
-    """Detailed-balance ceiling hbar * omega_d / (k_B T), dimensionless."""
-    return HBAR * params.omega_d / (K_BOLTZMANN * params.temperature)
+    """Detailed-balance ceiling hbar * omega_d / (k_B T), dimensionless.
+
+    Raises NonFiniteValue, naming the temperature, where k_B T underflows to
+    0 or the ratio overflows.
+    """
+    kt = K_BOLTZMANN * params.temperature
+    value = HBAR * params.omega_d / kt if kt > 0.0 else inf
+    if not isfinite(value):
+        raise NonFiniteValue(
+            f"epsilon_th = hbar*omega_d/(k_B*T) is not finite at temperature "
+            f"{params.temperature} K"
+        )
+    return value
 
 
 def eta_seq(params: PhysicalParams) -> float:
@@ -118,9 +129,18 @@ def eta_seq(params: PhysicalParams) -> float:
 
     An order-of-magnitude short-time estimate; values above 1 mean the
     static coupling is too strong for the scaling to apply, which is
-    surfaced as a ValidityRegimeWarning rather than clamped.
+    surfaced as a ValidityRegimeWarning rather than clamped.  A square that
+    overflows raises NonFiniteValue, naming both inputs.
     """
-    value = (params.omega_d_static * params.mixing_time) ** 2
+    try:
+        value = (params.omega_d_static * params.mixing_time) ** 2
+    except OverflowError:
+        value = inf
+    if not isfinite(value):
+        raise NonFiniteValue(
+            f"eta_seq = (omega_d_static*mixing_time)^2 is not finite for "
+            f"omega_d_static={params.omega_d_static} rad/s, mixing_time={params.mixing_time} s"
+        )
     if value > 1.0:
         warnings.warn(
             f"sequence-transfer estimate {value:.3g} exceeds 1; the quadratic "

@@ -67,6 +67,10 @@ class SupportViolation(DqwitnessError):
     """Reference state has no support where the argument state has weight."""
 
 
+class IllConditionedStart(DqwitnessError):
+    """Start state the detailed-balance propagator cannot evolve to clip accuracy."""
+
+
 class CeilingPrecondition(DqwitnessError):
     """Initial pair correlation already exceeds the thermal value."""
 
@@ -81,6 +85,10 @@ class NegativeAmplitude(DqwitnessError):
 
 class MalformedHeader(DqwitnessError):
     """CSV header does not match the expected column contract."""
+
+
+class MalformedRow(DqwitnessError):
+    """CSV line the csv module cannot read, such as an oversized field."""
 
 
 class NonMonotonicTime(DqwitnessError):

@@ -15,7 +15,7 @@ import io
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .bounds import GateStatus
 from .errors import (
     InsufficientRows,
     MalformedHeader,
+    MalformedRow,
     NegativeValue,
     NonFiniteValue,
     NonMonotonicTime,
@@ -82,17 +83,28 @@ def ingest(path: str | Path) -> MeasurementSeries:
     """Parse and validate a measurement CSV file.
 
     Blank lines and rows that do not parse as the right number of floats are
-    skipped and recorded in the series diagnostics; sign/range violations and
-    out-of-order time stamps are hard errors naming the offending line.
+    skipped and recorded in the series diagnostics; sign/range violations,
+    out-of-order time stamps and lines the csv module cannot read (a field
+    over its size limit, MalformedRow) are hard errors naming the offending
+    line.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         return _ingest_stream(handle)
 
 
+def _rows(reader) -> Iterator[list[str]]:
+    """The reader's rows; a line the csv module cannot read raises MalformedRow naming it."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedRow(f"line {reader.line_num}: {exc}") from None
+
+
 def _ingest_stream(stream: TextIO) -> MeasurementSeries:
     reader = csv.reader(stream)
+    rows = _rows(reader)
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise MalformedHeader("empty input, expected a header line") from None
     header = [h.strip() for h in header]
@@ -109,7 +121,7 @@ def _ingest_stream(stream: TextIO) -> MeasurementSeries:
 
     times, fdqs, t2s, mts = [], [], [], []
     skipped: list[str] = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(rows, start=2):
         if not row or all(not cell.strip() for cell in row):
             skipped.append(f"line {line_no}: blank")
             continue
@@ -188,7 +200,9 @@ def stability_gate(
     deviation from the window median at or below `dev_threshold`, and, when
     the MT column is present, its CV also within `cv_threshold`.  Needs at
     least three rows.  A threshold must be finite (NonFiniteValue) and
-    non-negative (ValueError): an infinite one would pass any series.
+    non-negative (ValueError): an infinite one would pass any series.  A
+    statistic that is not finite, such as a CV whose mean overflows at
+    t2_star near the float maximum, raises NonFiniteValue naming it.
     """
     for name, value in (("cv_threshold", cv_threshold), ("dev_threshold", dev_threshold)):
         if not isfinite(value):
@@ -198,14 +212,18 @@ def stability_gate(
     if len(series) < 3:
         raise InsufficientRows(f"gate needs >= 3 rows, got {len(series)}")
     t2 = series.t2_star
-    t2_cv = _coefficient_of_variation(t2)
-    median = float(np.median(t2))
-    max_rel_deviation = float(np.abs(t2 - median).max() / median)
-    mt_cv = None
-    mt_ok = True
-    if series.mt_ratio is not None:
-        mt_cv = _coefficient_of_variation(series.mt_ratio)
-        mt_ok = mt_cv <= cv_threshold
+    with np.errstate(over="ignore", invalid="ignore"):
+        t2_cv = _coefficient_of_variation(t2)
+        median = float(np.median(t2))
+        max_rel_deviation = float(np.abs(t2 - median).max() / median)
+        mt_cv = None
+        if series.mt_ratio is not None:
+            mt_cv = _coefficient_of_variation(series.mt_ratio)
+    statistics = {"t2_cv": t2_cv, "max_rel_deviation": max_rel_deviation, "mt_cv": mt_cv}
+    for name, value in statistics.items():
+        if value is not None and not isfinite(value):
+            raise NonFiniteValue(f"gate statistic {name} is not finite ({value})")
+    mt_ok = mt_cv is None or mt_cv <= cv_threshold
     stable = t2_cv <= cv_threshold and max_rel_deviation <= dev_threshold and mt_ok
     return GateResult(
         status="stable" if stable else "unstable",

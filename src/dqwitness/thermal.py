@@ -9,8 +9,13 @@ into an exact phase rotation times the exponential of the small dissipator.
 That factorization is what keeps fixed-point residuals at machine scale even
 with Zeeman frequencies in the hundreds of MHz.
 
-scipy is imported on the first master-equation propagation, not with the
-module, so `bounds` and `witness` run on numpy alone.
+A dissipator that satisfies detailed balance is self-adjoint in the KMS
+inner product of its Gibbs state (Alicki 1976; Kossakowski, Frigerio, Gorini
+and Verri 1977), so a diagonal similarity makes it a Hermitian matrix.
+`evolve_master` diagonalizes that matrix once and evaluates the propagator
+at every sample time in one product; the per-sample checks and records then
+run once over the whole stack of states.  The package needs numpy alone;
+`expm` is kept as the scipy reference the tests compare the propagator with.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .errors import (
     CeilingPrecondition,
     DegenerateGrouping,
     DimensionMismatch,
+    IllConditionedStart,
     NonFiniteValue,
     PositivityBreakdown,
     SupportViolation,
@@ -289,13 +295,21 @@ def _cluster_frequencies(entries, tol):
 
 @dataclass(frozen=True)
 class OpenTrajectory:
-    """Dissipative evolution record on a time grid."""
+    """Dissipative evolution record on a time grid.
+
+    `states` is one read-only (samples, dim, dim) array of checked density
+    matrices; `clipped_samples` counts the samples whose positivity was
+    clipped and `max_clip` is the largest negative eigenvalue removed (0.0
+    when none was).
+    """
 
     times: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    states: np.ndarray
     relative_entropies: np.ndarray
     dq_amplitudes: np.ndarray | None
     pair_correlations: np.ndarray | None
+    clipped_samples: int
+    max_clip: float
 
 
 def _dissipator_superop(eig_jumps, rates, dim) -> np.ndarray:
@@ -312,30 +326,49 @@ def _dissipator_superop(eig_jumps, rates, dim) -> np.ndarray:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm, with scipy imported on first use rather than with the module."""
+    """scipy.linalg.expm, with scipy imported on first use rather than with the module.
+
+    No package code path calls it: it is the independent reference that the
+    tests compare `evolve_master`'s propagator with, sample by sample.
+    """
     from scipy.linalg import expm as scipy_expm
 
     return scipy_expm(a)
 
 
-def _ensure_physical(entries: np.ndarray) -> np.ndarray:
-    """Hermitize and clip tiny negative eigenvalues; raise beyond 1e-8."""
-    m = (entries + entries.conj().T) / 2.0
-    evals, evecs = np.linalg.eigh(m)
-    violation = max(0.0, -float(evals.min()))
-    if violation > BREAKDOWN_LIMIT:
+def _entries(rho) -> np.ndarray:
+    """Entry array of a DensityMatrix, or a complex array view of raw input."""
+    return rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+
+
+def _ensure_physical(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitize a matrix or a stack (..., d, d) and clip tiny negative eigenvalues.
+
+    Returns the unit-trace matrices and the clip of each (the negative
+    eigenvalue removed, 0.0 where there was none).  Clips are logged, as
+    warnings above CLIP_LIMIT; one beyond BREAKDOWN_LIMIT raises
+    PositivityBreakdown.
+    """
+    m = (entries + np.swapaxes(entries, -1, -2).conj()) / 2.0
+    clips = np.maximum(-np.linalg.eigvalsh(m).min(axis=-1), 0.0)
+    worst = float(clips.max())
+    if worst > BREAKDOWN_LIMIT:
         raise PositivityBreakdown(
-            f"negative eigenvalue {-violation:.3e} beyond {BREAKDOWN_LIMIT:.1e}"
+            f"negative eigenvalue {-worst:.3e} beyond {BREAKDOWN_LIMIT:.1e}"
         )
-    if violation > 0.0:
-        if violation > CLIP_LIMIT:
-            logger.warning("clipping positivity violation %.3e", violation)
-        else:
-            logger.debug("clipping positivity violation %.3e", violation)
-        clipped = np.clip(evals, 0.0, None)
-        m = (evecs * clipped) @ evecs.conj().T
-        m = m / np.trace(m).real
-    return m
+    if worst > 0.0:
+        logger.log(
+            logging.WARNING if worst > CLIP_LIMIT else logging.DEBUG,
+            "clipping positivity violation in %d of %d matrices, largest %.3e",
+            np.count_nonzero(clips), clips.size, worst,
+        )
+        bad = clips > 0.0
+        evals, evecs = np.linalg.eigh(m[bad])
+        m[bad] = (evecs * np.clip(evals, 0.0, None)[..., None, :]) @ np.swapaxes(
+            evecs, -1, -2
+        ).conj()
+    m = m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    return m, clips
 
 
 def evolve_master(
@@ -345,13 +378,26 @@ def evolve_master(
 ) -> OpenTrajectory:
     """Propagate rho0 along the time grid under the model's semigroup.
 
-    rho0 is the state at times[0].  Every reported state is validated;
-    positivity violations below 1e-10 are clipped and logged, larger ones
-    raise PositivityBreakdown.  The trajectory records the relative entropy
-    to the model's thermal state and, for two-spin systems, the pair
-    coherence amplitude |tr(rho K+)| and the longitudinal pair correlation.
+    rho0 is the state at times[0].  In the Hamiltonian eigenbasis with Gibbs
+    populations p, the similarity s = p_i^(1/4) p_j^(1/4) on the row-major
+    vectorization turns the dissipator into a Hermitian matrix, and one
+    eigendecomposition of it gives exp(D (t - t0)) at every sample; the
+    coherent part is the exact phase exp(-i omega_ij (t - t0)).  Every
+    reported state is Hermitized and renormalized; positivity violations up
+    to BREAKDOWN_LIMIT are clipped and logged (as warnings above CLIP_LIMIT),
+    larger ones raise PositivityBreakdown.  The trajectory records the
+    relative entropy to the model's thermal state and, for two-spin systems,
+    the pair coherence amplitude |tr(rho K+)| and the longitudinal pair
+    correlation.
+
     The grid must be 1-D, non-empty, finite and strictly increasing
-    (NonFiniteValue for a non-finite time, ValueError otherwise).
+    (NonFiniteValue for a non-finite time, ValueError otherwise).  A start
+    with weight on the numerical kernel of the thermal state raises
+    SupportViolation.  IllConditionedStart is raised when a thermal
+    population is exactly 0, or when dividing the start by s could amplify
+    rounding beyond CLIP_LIMIT (weight just below SUPPORT_FLOOR on a level
+    whose population is far smaller still).  A model whose dissipator is
+    not detailed-balance symmetric raises NonHermitianGenerator.
     """
     if rho0.dim != model.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} vs model dim {model.dim}")
@@ -360,44 +406,51 @@ def evolve_master(
     dim = model.dim
     w = model._evals
     v = model._evecs
-    rho_th = model.gibbs()
+    p = _thermal_populations(w, model.beta)
+    rho_eig = v.conj().T @ rho0.entries @ v
+    _check_support(np.diag(rho_eig).real, p)
+
+    quarter = p**0.25
+    s = np.outer(quarter, quarter).reshape(-1)
+    x0 = rho_eig.reshape(-1)
+    if not quarter.all() or (
+        np.finfo(float).eps * s.max() * np.abs(x0 / s).sum() > CLIP_LIMIT
+    ):
+        raise IllConditionedStart(
+            f"the start state cannot be propagated at temperature "
+            f"{1.0 / (K_BOLTZMANN * model.beta):.6g} K: thermal populations span "
+            f"{p.min():.3e} to {p.max():.3e}, and the detailed-balance similarity "
+            f"would amplify rounding beyond {CLIP_LIMIT:.1e}"
+        )
+    kms = model._d_super * (s / s[:, None])
+    _check_hermitian(kms)
+    rates, modes = np.linalg.eigh((kms + kms.conj().T) / 2.0)
+
+    tau = tgrid - tgrid[0]
+    amplitudes = np.exp(np.outer(tau, rates)) * (modes.conj().T @ (x0 / s))
+    bohr = np.subtract.outer(w, w).reshape(-1)
+    vecs = (amplitudes @ modes.T) * s * np.exp(-1j * np.outer(tau, bohr))
+    lab = vecs @ np.kron(v, v.conj()).T  # row-major vec(v X v^dag)
+    states, clips = _ensure_physical(lab.reshape(-1, dim, dim))
+    states.flags.writeable = False
 
     two_spin = dim == 4
-
-    bohr = np.subtract.outer(w, w)
-    prop_cache: dict[float, np.ndarray] = {}
-    rho_eig = v.conj().T @ rho0.entries @ v
-
-    states = []
-    rel_ents = np.empty(tgrid.size)
-    dqs = np.empty(tgrid.size) if two_spin else None
-    pcs = np.empty(tgrid.size) if two_spin else None
-    for it in range(tgrid.size):
-        if it > 0:
-            dt = float(tgrid[it] - tgrid[it - 1])
-            if dt not in prop_cache:
-                prop_cache[dt] = expm(model._d_super * dt)
-            rho_eig = (prop_cache[dt] @ rho_eig.reshape(-1)).reshape(dim, dim)
-            rho_eig = rho_eig * np.exp(-1j * bohr * dt)
-        lab = _ensure_physical(v @ rho_eig @ v.conj().T)
-        state = DensityMatrix(lab)
-        states.append(state)
-        rel_ents[it] = relative_entropy(state, rho_th)
-        if two_spin:
-            dqs[it] = abs(complex(np.trace(lab @ _OPS["K+"].entries)))
-            pcs[it] = pair_correlation(state)
     return OpenTrajectory(
         times=tgrid,
-        states=tuple(states),
-        relative_entropies=rel_ents,
-        dq_amplitudes=dqs,
-        pair_correlations=pcs,
+        states=states,
+        relative_entropies=relative_entropy(states, model.gibbs()),
+        dq_amplitudes=(
+            np.abs(np.einsum("nij,ji->n", states, _OPS["K+"].entries)) if two_spin else None
+        ),
+        pair_correlations=pair_correlation(states) if two_spin else None,
+        clipped_samples=int(np.count_nonzero(clips)),
+        max_clip=float(clips.max()),
     )
 
 
 def apply_liouvillian(model: LindbladModel, rho: DensityMatrix | np.ndarray) -> np.ndarray:
     """Generator action L(rho) = -i[H, rho] + dissipator, in the lab frame."""
-    mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    mat = _entries(rho)
     if mat.shape != (model.dim, model.dim):
         raise DimensionMismatch("state dimension differs from model")
     w, v = model._evals, model._evecs
@@ -407,30 +460,41 @@ def apply_liouvillian(model: LindbladModel, rho: DensityMatrix | np.ndarray) -> 
     return v @ out @ v.conj().T
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Quantum relative entropy tr rho (log rho - log sigma), in nats.
-
-    Eigenvalues of sigma at or below SUPPORT_FLOOR define its numerical
-    kernel; any rho-weight above the floor on that kernel raises
-    SupportViolation.
-    """
-    p, pu = np.linalg.eigh(rho.entries)
-    q, qu = np.linalg.eigh(sigma.entries)
-    weights = np.einsum("ij,jk,ki->i", qu.conj().T, rho.entries, qu).real
-    dead = q <= SUPPORT_FLOOR
-    if np.any(weights[dead] > SUPPORT_FLOOR):
+def _check_support(weights: np.ndarray, q: np.ndarray) -> None:
+    """SupportViolation when any weight above SUPPORT_FLOOR sits where q is at or below it."""
+    if np.any(weights[..., q <= SUPPORT_FLOOR] > SUPPORT_FLOOR):
         raise SupportViolation(
             "state has weight on the kernel of the reference state"
         )
-    p_pos = np.clip(p, 0.0, None)
-    entropy_term = float(np.sum(p_pos[p_pos > 0] * np.log(p_pos[p_pos > 0])))
-    cross_term = float(np.sum(weights[~dead] * np.log(q[~dead])))
-    return entropy_term - cross_term
 
 
-def pair_correlation(rho: DensityMatrix) -> float:
-    """Longitudinal pair correlation tr(rho I1z I2z) relative to beta = 0."""
-    return float(np.trace(rho.entries @ _PAIR_OP).real) - _PAIR_REF
+def relative_entropy(rho, sigma: DensityMatrix) -> float | np.ndarray:
+    """Quantum relative entropy tr rho (log rho - log sigma), in nats.
+
+    rho is a DensityMatrix, one matrix, or a stack (..., d, d) of them, which
+    gives an array of entropies.  Eigenvalues of sigma at or below
+    SUPPORT_FLOOR define its numerical kernel; any rho-weight above the
+    floor on that kernel raises SupportViolation.
+    """
+    m = _entries(rho)
+    q, qu = np.linalg.eigh(_entries(sigma))
+    weights = np.einsum("ji,...jk,ki->...i", qu.conj(), m, qu, optimize=True).real
+    _check_support(weights, q)
+    p = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+    entropy_term = np.sum(p * np.log(p, out=np.zeros_like(p), where=p > 0.0), axis=-1)
+    live = q > SUPPORT_FLOOR
+    value = entropy_term - weights[..., live] @ np.log(q[live])
+    return float(value) if m.ndim == 2 else value
+
+
+def pair_correlation(rho) -> float | np.ndarray:
+    """Longitudinal pair correlation tr(rho I1z I2z) relative to beta = 0.
+
+    rho is a DensityMatrix, one matrix, or a stack (..., 4, 4) of them.
+    """
+    m = _entries(rho)
+    value = np.einsum("...ij,ji->...", m, _PAIR_OP).real - _PAIR_REF
+    return float(value) if m.ndim == 2 else value
 
 
 @dataclass(frozen=True)
@@ -502,15 +566,19 @@ def default_thermal_model(
     """Zeeman + secular dipolar system with transverse single-spin couplings.
 
     The temperature (K) must be finite (NonFiniteValue) and positive
-    (ValueError).
+    (ValueError), and so must beta = 1/(k_B T): a temperature at which
+    k_B T underflows raises NonFiniteValue.
     """
     if not np.isfinite(temperature):
         raise NonFiniteValue(f"temperature must be finite, got {temperature}")
     if temperature <= 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
+    kt = K_BOLTZMANN * temperature
+    beta = 1.0 / kt if kt > 0.0 else np.inf
+    if not np.isfinite(beta):
+        raise NonFiniteValue(f"beta = 1/(k_B*T) is not finite at temperature {temperature} K")
     h = OperatorMatrix(
         zeeman_hamiltonian(omega0).entries + secular_dipolar_hamiltonian(omega_d).entries,
         label="H_system",
     )
-    beta = 1.0 / (K_BOLTZMANN * temperature)
     return build_davies_model(h, [(_OPS["I1x"], base_rate), (_OPS["I2x"], base_rate)], beta)

@@ -234,6 +234,18 @@ class TestNonFiniteInputs:
         with pytest.raises(NonFiniteValue):
             spectral_density(*args)
 
+    @pytest.mark.parametrize("temperature", [1e-320, 5e-324])
+    def test_epsilon_th_names_an_underflowing_temperature(self, temperature):
+        # k_B * T rounds to 0 here, so the ratio would divide by zero.
+        params = PhysicalParams.from_hz(10e3, 5.0, temperature, 5e-3, 1e-9, 400e6)
+        with pytest.raises(NonFiniteValue, match="temperature"):
+            epsilon_th(params)
+
+    def test_eta_seq_names_both_inputs_on_overflow(self):
+        params = PhysicalParams.from_hz(10e3, 1e150, 310.0, 1e10, 1e-9, 400e6)
+        with pytest.raises(NonFiniteValue, match="omega_d_static.*mixing_time"):
+            eta_seq(params)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_witness_rejects_non_finite_amplitude(self, value):
         with pytest.raises(NonFiniteValue):

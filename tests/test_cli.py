@@ -309,6 +309,35 @@ class TestNonFiniteInputs:
         assert capsys.readouterr().out == ""
 
 
+OVERSIZED_FIELD_CSV = "time_s,f_dq,t2_star_s\n0.0,0.1,0.04" + "0" * 131072 + "\n"
+OVERFLOWING_T2_CSV = "time_s,f_dq,t2_star_s\n" + "".join(f"{i},0.1,1.7e308\n" for i in range(3))
+
+
+@pytest.mark.parametrize(
+    "argv, csv_text, named",
+    [
+        (["bounds", "--temperature-k", "1e-320"], None, "temperature"),
+        (["figure", "--kind", "open_trajectory", "--temperature-k", "1e-320"], None, "temperature"),
+        (["bounds", "--omega-d-static-hz", "1e150", "--mixing-time-s", "1e10"], None,
+         "omega_d_static"),
+        (["witness"], OVERSIZED_FIELD_CSV, "line 2"),
+        (["witness"], OVERFLOWING_T2_CSV, "t2_cv"),
+    ],
+    ids=["bounds-kT-underflow", "figure-kT-underflow", "eta-overflow", "csv-field-limit",
+         "gate-mean-overflow"],
+)
+def test_extreme_inputs_end_in_one_error_line(tmp_path, capsys, argv, csv_text, named):
+    if csv_text is not None:
+        (tmp_path / "series.csv").write_text(csv_text)
+        argv = argv + ["--input", str(tmp_path / "series.csv")]
+    assert main(argv + ["--output", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_bounds_warns_once_outside_validity_regime(capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

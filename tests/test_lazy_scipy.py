@@ -1,4 +1,4 @@
-"""The verdict path runs on numpy alone; scipy loads on the first bath propagation.
+"""No command loads scipy: the verdict path and bath propagation run on numpy alone.
 
 Each case runs in a fresh interpreter, because within the test session some
 other test has already imported scipy.
@@ -48,8 +48,8 @@ def test_verdict_commands_leave_scipy_unloaded(tmp_path, argv, exit_code):
     assert (tmp_path / "out.json").read_text().startswith("{")
 
 
-def test_bath_propagation_loads_scipy_linalg(tmp_path):
+def test_bath_propagation_leaves_scipy_unloaded(tmp_path):
     argv = ["figure", "--kind", "open_trajectory", "--output", "out.csv"]
-    code = f"import sys; from dqwitness.cli import main; print(main({argv!r}), 'scipy.linalg' in sys.modules)"
-    assert run_fresh(code, tmp_path) == ["0", "True"]
+    code = f"import sys; from dqwitness.cli import main; print(main({argv!r}), 'scipy' in sys.modules)"
+    assert run_fresh(code, tmp_path) == ["0", "False"]
     assert len((tmp_path / "out.csv").read_text().splitlines()) == 102

@@ -6,6 +6,7 @@ import pytest
 from dqwitness.errors import (
     InsufficientRows,
     MalformedHeader,
+    MalformedRow,
     NegativeValue,
     NonFiniteValue,
     NonMonotonicTime,
@@ -87,6 +88,13 @@ class TestIngest:
         assert any("line 3" in msg for msg in series.skipped)
         assert any("line 4" in msg for msg in series.skipped)
 
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_oversized_field_names_the_line(self, line):
+        rows = ["time_s,f_dq,t2_star_s", "0.0,0.01,0.045", "0.1,0.02,0.045"]
+        rows[line - 1] += "0" * 131072
+        with pytest.raises(MalformedRow, match=f"line {line}:"):
+            ingest_text("\n".join(rows) + "\n")
+
     def test_path_input(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("time_s,f_dq,t2_star_s\n0,0.01,0.045\n1,0.01,0.045\n")
@@ -144,6 +152,12 @@ class TestStabilityGate:
         # An infinite threshold would pass any series, certifying an unstable one.
         with pytest.raises(NonFiniteValue, match=name):
             stability_gate(make_series([0.045] * 10), **{name: value})
+
+    def test_overflowing_statistic_is_named(self):
+        # The mean of three values near the float maximum overflows; no
+        # RuntimeWarning may escape (the suite turns warnings into errors).
+        with pytest.raises(NonFiniteValue, match="t2_cv"):
+            stability_gate(make_series([1.7e308] * 3))
 
     @pytest.mark.parametrize("name", ["cv_threshold", "dev_threshold"])
     def test_negative_threshold_rejected(self, name):

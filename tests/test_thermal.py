@@ -12,12 +12,14 @@ from dqwitness.errors import (
     CeilingPrecondition,
     DegenerateGrouping,
     DimensionMismatch,
+    IllConditionedStart,
     NonFiniteValue,
     NonHermitianGenerator,
     PositivityBreakdown,
     SupportViolation,
 )
 from dqwitness.thermal import (
+    CLIP_LIMIT,
     DensityMatrix,
     JumpTerm,
     LindbladModel,
@@ -27,6 +29,7 @@ from dqwitness.thermal import (
     ceiling_scan,
     default_thermal_model,
     evolve_master,
+    expm,
     gibbs_state,
     pair_correlation,
     relative_entropy,
@@ -173,9 +176,7 @@ class TestMasterEquation:
     def test_thermal_state_is_stationary(self, nmr_model):
         rho_th = nmr_model.gibbs()
         traj = evolve_master(nmr_model, rho_th, np.linspace(0.0, 5.0, 21))
-        worst = max(
-            np.linalg.norm(s.entries - rho_th.entries) for s in traj.states
-        )
+        worst = max(np.linalg.norm(s - rho_th.entries) for s in traj.states)
         assert worst < 1e-10
 
     def test_relative_entropy_decays_from_aligned_state(self, nmr_model):
@@ -212,7 +213,7 @@ class TestMasterEquation:
         rho0 = DensityMatrix.maximally_mixed(4)
         traj = evolve_master(nmr_model, rho0, np.linspace(0.0, 10.0, 41))
         for state in traj.states:
-            assert abs(np.trace(state.entries).real - 1.0) < 1e-10
+            assert abs(np.trace(state).real - 1.0) < 1e-10
 
     def test_liouvillian_annihilates_thermal_state(self, khz_model):
         residual = np.linalg.norm(apply_liouvillian(khz_model, khz_model.gibbs()))
@@ -231,10 +232,21 @@ class TestPositivityHandling:
     def test_small_violation_is_clipped_and_logged(self, caplog):
         bad = np.diag([0.5, 0.3, 0.2 + 5e-11, -5e-11]).astype(complex)
         with caplog.at_level(logging.DEBUG, logger="dqwitness.thermal"):
-            fixed = _ensure_physical(bad)
+            fixed, clip = _ensure_physical(bad)
+        assert clip == pytest.approx(5e-11, rel=1e-6)
         assert np.linalg.eigvalsh(fixed).min() >= 0.0
         assert abs(np.trace(fixed).real - 1.0) < 1e-12
         assert any("clipping" in r.message for r in caplog.records)
+
+    def test_stack_reports_the_clip_of_each_matrix(self, caplog):
+        good = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        bad = np.diag([0.5, 0.3, 0.2 + 5e-11, -5e-11]).astype(complex)
+        with caplog.at_level(logging.DEBUG, logger="dqwitness.thermal"):
+            fixed, clips = _ensure_physical(np.array([good, bad, good]))
+        np.testing.assert_allclose(clips, [0.0, 5e-11, 0.0], rtol=1e-6)
+        np.testing.assert_array_equal(fixed[[0, 2]], [good, good])
+        assert np.linalg.eigvalsh(fixed[1]).min() >= 0.0
+        assert any("1 of 3" in r.getMessage() for r in caplog.records)
 
     def test_large_violation_raises(self):
         bad = np.diag([0.6, 0.3, 0.1 + 5e-8, -5e-8]).astype(complex)
@@ -326,6 +338,95 @@ def test_evolve_master_rejects_bad_grid(nmr_model, mixed, eigensolves, times, er
     assert eigensolves == []
 
 
+def _expm_reference(model, rho0, times):
+    """Each sample from its own scipy exponential of the dissipator, then the exact phase."""
+    w, v = model._evals, model._evecs
+    x0 = (v.conj().T @ rho0.entries @ v).reshape(-1)
+    bohr = np.subtract.outer(w, w).reshape(-1)
+    states = []
+    for tau in times - times[0]:
+        x = (expm(model._d_super * tau) @ x0) * np.exp(-1j * bohr * tau)
+        states.append(v @ x.reshape(model.dim, model.dim) @ v.conj().T)
+    return np.array(states)
+
+
+def _random_state(rng):
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho = g @ g.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
+PROPAGATOR_MODELS = {
+    "criterion5": (TWO_PI * 1e3, TWO_PI * 10e3, 310.0),
+    "criterion6": (TWO_PI * 400e6, TWO_PI * 10e3, 310.0),
+    "degenerate": (TWO_PI * 5e3, TWO_PI * 10e3, 310.0),  # omega0 = omega_d/2: two levels at 0
+}
+
+
+class TestKmsPropagator:
+    @pytest.mark.parametrize("model_args", PROPAGATOR_MODELS.values(), ids=PROPAGATOR_MODELS)
+    @pytest.mark.parametrize("grid", ["linspace", "sorted_random"])
+    def test_matches_per_sample_expm(self, model_args, grid):
+        model = default_thermal_model(*model_args)
+        rng = np.random.default_rng(11)
+        if grid == "linspace":
+            times = np.linspace(0.5, 8.0, 41)
+        else:
+            times = np.sort(rng.uniform(0.5, 8.0, 41))
+        rho0 = _random_state(rng)
+        traj = evolve_master(model, rho0, times)
+        np.testing.assert_allclose(
+            traj.states, _expm_reference(model, rho0, times), rtol=0.0, atol=1e-12
+        )
+
+    def test_states_are_one_read_only_stack(self, nmr_model):
+        traj = evolve_master(nmr_model, _random_state(np.random.default_rng(5)), [0.0, 1.0, 2.0])
+        assert traj.states.shape == (3, 4, 4) and traj.states.dtype == complex
+        assert not traj.states.flags.writeable
+        assert traj.clipped_samples >= 0 and 0.0 <= traj.max_clip <= CLIP_LIMIT
+        assert (traj.clipped_samples == 0) == (traj.max_clip == 0.0)
+
+    @pytest.mark.parametrize("temperature", [1e-3, 1e-4])
+    @pytest.mark.parametrize("start", ["gibbs", "ground"])
+    def test_low_temperature_starts_evolve(self, temperature, start):
+        model = default_thermal_model(TWO_PI * 400e6, TWO_PI * 10e3, temperature)
+        ground = model._evecs[:, np.argmin(model._evals)]
+        rho0 = model.gibbs() if start == "gibbs" else DensityMatrix.pure(ground)
+        times = np.linspace(0.0, 5.0, 26)
+        traj = evolve_master(model, rho0, times)
+        np.testing.assert_allclose(
+            traj.states, _expm_reference(model, rho0, times), rtol=0.0, atol=1e-12
+        )
+        assert np.all(np.diff(traj.relative_entropies) <= 1e-9)
+        assert traj.max_clip <= CLIP_LIMIT
+
+    def test_weight_far_above_its_population_is_rejected(self):
+        # 1e-15 on the top level passes the support floor, but its population
+        # is ~1e-167 at 1e-4 K, so dividing by s would amplify rounding ~1e68-fold.
+        model = default_thermal_model(TWO_PI * 400e6, TWO_PI * 10e3, 1e-4)
+        order = np.argsort(model._evals)
+        ground, top = model._evecs[:, order[0]], model._evecs[:, order[-1]]
+        rho = (1.0 - 1e-15) * np.outer(ground, ground.conj()) + 1e-15 * np.outer(top, top.conj())
+        with pytest.raises(IllConditionedStart, match="0.0001 K"):
+            evolve_master(model, DensityMatrix(rho), [0.0, 1.0])
+
+    def test_zero_population_is_rejected(self):
+        model = default_thermal_model(TWO_PI * 400e6, TWO_PI * 10e3, 1e-5)
+        with pytest.raises(IllConditionedStart, match="1e-05 K"):
+            evolve_master(model, model.gibbs(), [0.0, 1.0])
+
+    def test_support_check_runs_before_the_guard(self, mixed):
+        model = default_thermal_model(TWO_PI * 400e6, TWO_PI * 10e3, 1e-4)
+        with pytest.raises(SupportViolation, match="kernel of the reference state"):
+            evolve_master(model, mixed, [0.0, 1.0])
+
+    def test_model_without_detailed_balance_is_refused(self, ops, mixed):
+        lower = JumpTerm(ops["I1-"], bohr_frequency=TWO_PI * 100.0, rate=1.0, channel="c")
+        model = LindbladModel(zeeman_hamiltonian(TWO_PI * 100.0), (lower,), BETA_310)
+        with pytest.raises(NonHermitianGenerator):
+            evolve_master(model, mixed, [0.0, 1.0])
+
+
 class TestPairCorrelationRecord:
     def test_trajectory_uses_the_pair_correlation_function(self, nmr_model):
         traj = evolve_master(
@@ -370,6 +471,11 @@ DEFAULT_MODEL_ARGS = {"omega0": TWO_PI * 400e6, "omega_d": TWO_PI * 10e3, "tempe
 def test_default_model_rejects_non_finite_inputs(bad):
     with pytest.raises(NonFiniteValue):
         default_thermal_model(**{**DEFAULT_MODEL_ARGS, **bad})
+
+
+def test_default_model_rejects_temperature_where_beta_overflows():
+    with pytest.raises(NonFiniteValue, match="temperature 1e-320 K"):
+        default_thermal_model(**{**DEFAULT_MODEL_ARGS, "temperature": 1e-320})
 
 
 @pytest.mark.parametrize("temperature", [0.0, -0.0, -310.0])
