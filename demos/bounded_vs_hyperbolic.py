@@ -37,7 +37,7 @@ signal = ladder.expectations["pair_signal"]
 closed = 2 * k * np.sinh(g * times_dq) ** 2
 print()
 print(f"vacuum pair signal under g (K+ + K-), k = {k}, g = {g}:")
-print(f"  truncation auto-escalated to {ladder.n_levels} levels, "
+print(f"  truncation sized from the coherent-state tail: {ladder.n_levels} levels, "
       f"top-level tail {ladder.truncation_tail:.2e}")
 print(f"  s(t=1) = {signal[100]:.6f} (closed form 2k sinh^2(g) = {closed[100]:.6f})")
 print(f"  s(2)/s(1) = {signal[200]/signal[100]:.4f} (super-linear growth)")

@@ -8,7 +8,7 @@ Library layout:
                 hyperbolic growth on the truncated lowest-weight ladder
 - `thermal`     detailed-balance bath models, relative-entropy monotonicity,
                 thermal pair-correlation ceiling
-- `bounds`      scalar ceilings, spectral density, witness verdicts
+- `bounds`      scalar ceilings, spectral profile, witness verdicts
 - `measurement` CSV ingestion and the line-width stability gate
 - `cli`         command-line pipeline and figure/trajectory emission
 """
@@ -40,7 +40,6 @@ from .bounds import (
     f_class_max,
     fractional_amplitude,
     normalized_spectral_density,
-    spectral_density,
     witness,
 )
 from .dynamics import (

@@ -151,17 +151,6 @@ def eta_seq(params: PhysicalParams) -> float:
     return value
 
 
-def spectral_density(omega_0: float, tau_c: float, mean_square_omega_d: float) -> float:
-    """Lorentzian bath spectral density 2 <omega_d^2> tau_c / (1 + omega_0^2 tau_c^2).
-
-    Every argument must be finite (NonFiniteValue otherwise).
-    """
-    _require_finite(omega_0=omega_0, tau_c=tau_c, mean_square_omega_d=mean_square_omega_d)
-    if tau_c <= 0:
-        raise ValueError("tau_c must be positive")
-    return 2.0 * mean_square_omega_d * tau_c / (1.0 + (omega_0 * tau_c) ** 2)
-
-
 def normalized_spectral_density(x):
     """Dimensionless profile 2x / (1 + x^2); peaks at x = 1 with value 1."""
     x = np.asarray(x, dtype=float)
@@ -176,6 +165,14 @@ class ClassicalBound(NamedTuple):
     certifiable: bool
 
 
+def classical_sum(eps: float, eta: float) -> float:
+    """f_class_max = epsilon_th + eta_seq; NonFiniteValue, naming all three, if it overflows."""
+    value = eps + eta
+    if not isfinite(value):
+        raise NonFiniteValue(f"f_class_max = epsilon_th + eta_seq is not finite for {eps} + {eta}")
+    return value
+
+
 def f_class_max(params: PhysicalParams, gate_status: GateStatus = "stable") -> ClassicalBound:
     """Sum of the bath ceiling and the sequence-transfer efficiency.
 
@@ -184,7 +181,7 @@ def f_class_max(params: PhysicalParams, gate_status: GateStatus = "stable") -> C
     motional-narrowing premise behind the second term.
     """
     _check_gate_status(gate_status)
-    value = epsilon_th(params) + eta_seq(params)
+    value = classical_sum(epsilon_th(params), eta_seq(params))
     return ClassicalBound(value=value, certifiable=gate_status == "stable")
 
 
@@ -218,9 +215,8 @@ def witness(
         raise NonFiniteValue(f"measured fraction must be finite, got {f_dq_measured}")
     if f_dq_measured < 0:
         raise NegativeAmplitude(f"measured fraction must be >= 0, got {f_dq_measured}")
-    eps = epsilon_th(params)
-    eta = eta_seq(params)
-    bound = eps + eta
+    eps, eta = epsilon_th(params), eta_seq(params)
+    bound = classical_sum(eps, eta)
     w = f_dq_measured - bound
     if w > 0:
         verdict = "classically_inexplicable" if gate_status == "stable" else "loophole_open"

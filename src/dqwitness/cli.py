@@ -31,6 +31,7 @@ from .algebra import build_two_spin_operators
 from .bounds import (
     TISSUE_DEFAULTS,
     PhysicalParams,
+    classical_sum,
     dipolar_energy,
     epsilon_th,
     eta_seq,
@@ -245,7 +246,7 @@ def zq_exchange_trajectory() -> Trajectory:
 
 
 def dq_pair_trajectory() -> Trajectory:
-    """Vacuum pair signal on the truncated ladder, auto-escalated."""
+    """Vacuum pair signal on the ladder, truncated once from the coherent-state tail."""
     rep = build_su11_rep(DQ_INDEX, 64)
     times = np.linspace(0.0, DQ_T_MAX, DQ_SAMPLES)
     return hyperbolic_signal(rep, DQ_COUPLING, times)
@@ -339,7 +340,7 @@ def main(argv=None) -> int:
                 "bounds": {
                     "epsilon_th": eps,
                     "eta_seq": eta,
-                    "f_class_max": eps + eta,
+                    "f_class_max": classical_sum(eps, eta),
                     "hbar_omega_d_joule": dipolar_energy(params),
                 },
             }

@@ -42,7 +42,7 @@ class TruncationTooSmall(DqwitnessError):
 
 
 class TruncationExceeded(DqwitnessError):
-    """No truncation within the allowed size keeps the top-level tail bounded."""
+    """The sized ladder exceeds the size limit, or its measured top-level tail breaks the bound."""
 
 
 class InsufficientSamples(DqwitnessError):

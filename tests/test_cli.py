@@ -311,6 +311,11 @@ class TestNonFiniteInputs:
 
 OVERSIZED_FIELD_CSV = "time_s,f_dq,t2_star_s\n0.0,0.1,0.04" + "0" * 131072 + "\n"
 OVERFLOWING_T2_CSV = "time_s,f_dq,t2_star_s\n" + "".join(f"{i},0.1,1.7e308\n" for i in range(3))
+# epsilon_th and eta_seq are each finite near 1e308 and their sum overflows;
+# eta_seq > 1 also raises the expected ValidityRegimeWarning on the way.
+OVERFLOWING_SUM = ["--omega-d-hz", "1e20", "--temperature-k", "5e-299",
+                   "--omega-d-static-hz", "2e153", "--mixing-time-s", "1"]
+EXPECT_REGIME_WARNING = pytest.mark.filterwarnings("ignore::dqwitness.bounds.ValidityRegimeWarning")
 
 
 @pytest.mark.parametrize(
@@ -322,9 +327,13 @@ OVERFLOWING_T2_CSV = "time_s,f_dq,t2_star_s\n" + "".join(f"{i},0.1,1.7e308\n" fo
          "omega_d_static"),
         (["witness"], OVERSIZED_FIELD_CSV, "line 2"),
         (["witness"], OVERFLOWING_T2_CSV, "t2_cv"),
+        pytest.param(["bounds"] + OVERFLOWING_SUM, None, "f_class_max = epsilon_th + eta_seq",
+                     marks=EXPECT_REGIME_WARNING),
+        pytest.param(["witness"] + OVERFLOWING_SUM, stable_series_csv(),
+                     "f_class_max = epsilon_th + eta_seq", marks=EXPECT_REGIME_WARNING),
     ],
     ids=["bounds-kT-underflow", "figure-kT-underflow", "eta-overflow", "csv-field-limit",
-         "gate-mean-overflow"],
+         "gate-mean-overflow", "bounds-sum-overflow", "witness-sum-overflow"],
 )
 def test_extreme_inputs_end_in_one_error_line(tmp_path, capsys, argv, csv_text, named):
     if csv_text is not None:

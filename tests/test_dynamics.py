@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.linalg import expm
 
+from dqwitness import dynamics
 from dqwitness.algebra import OperatorMatrix, build_two_spin_operators, commutator
 from dqwitness.dynamics import (
     StateVector,
@@ -167,11 +169,47 @@ class TestHyperbolicSignal:
         delta = np.abs(a.expectations["pair_signal"] - b.expectations["pair_signal"])
         assert delta.max() < 1e-8
 
-    def test_truncation_limit_enforced(self):
-        with pytest.raises(TruncationExceeded):
-            hyperbolic_signal(
-                build_su11_rep(0.5, 64), 1.0, np.linspace(0, 3, 16), n_limit=128
-            )
+    def test_truncation_limit_enforced(self, eigensolves):
+        # at g t = 3.5 the closed-form tail asks for more than 4096 levels
+        with pytest.raises(TruncationExceeded, match="4096"):
+            hyperbolic_signal(build_su11_rep(0.5, 64), 1.0, np.linspace(0, 3.5, 16))
+        assert eigensolves == []
+
+    def test_measured_tail_breach_raises_after_one_solve(self, eigensolves, monkeypatch):
+        # a margin far below 1 sizes the ladder too small for the measured check
+        monkeypatch.setattr(dynamics, "TAIL_MARGIN", 1e-4)
+        with pytest.raises(TruncationExceeded, match="measured top-level tail"):
+            hyperbolic_signal(build_su11_rep(0.5, 4), 1.0, np.linspace(0, 2, 21))
+        assert eigensolves == ["eigh"]
+
+    @pytest.mark.parametrize("g, times", [(0.0, [0.0, 1.0, 2.0]), (1.0, [0.0]), (0.0, [0.0])])
+    def test_no_evolution_stays_in_the_vacuum(self, eigensolves, g, times):
+        traj = hyperbolic_signal(build_su11_rep(0.5, 4), g, times)
+        assert np.abs(traj.expectations["pair_signal"]).max() < 1e-25
+        assert traj.truncation_tail < 1e-25
+        assert traj.n_levels == 5
+        assert eigensolves == ["eigh"]
+
+    @given(
+        k=st.floats(0.05, 5.0),
+        gt=st.floats(0.0, 2.0),
+        g=st.floats(0.25, 4.0) | st.floats(-4.0, -0.25),
+        samples=st.integers(1, 201),
+    )
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_one_sized_solve_meets_tail_and_closed_form(self, eigensolves, k, gt, g, samples):
+        eigensolves.clear()
+        times = np.unique(np.linspace(0.0, gt / abs(g), samples))  # tiny gt collapses the grid
+        traj = hyperbolic_signal(build_su11_rep(k, 2), g, times)
+        assert eigensolves == ["eigh"]
+        tail = traj.truncation_tail
+        assert tail < dynamics.DEFAULT_TAIL_BOUND
+        assert tail * traj.n_levels < dynamics.DEFAULT_TAIL_BOUND
+        closed = 2.0 * k * np.sinh(g * times) ** 2
+        # squared rounding of the amplitudes leaves an absolute floor near 1e-29
+        np.testing.assert_allclose(traj.expectations["pair_signal"], closed, rtol=1e-6, atol=1e-25)
 
 
 class TestGrowthClassification:

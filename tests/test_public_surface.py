@@ -23,7 +23,6 @@ KNOBS = {
     "cli.run_witness.dev_threshold",
     "dynamics.Trajectory.n_levels",
     "dynamics.Trajectory.truncation_tail",
-    "dynamics.hyperbolic_signal.n_limit",
     "measurement.MeasurementSeries.mt_ratio",
     "measurement.MeasurementSeries.skipped",
     "measurement.stability_gate.cv_threshold",
@@ -74,7 +73,7 @@ def _public_knobs() -> set[str]:
 
 def test_public_keyword_parameters_with_defaults():
     assert _public_knobs() == KNOBS
-    assert len(KNOBS) == 19
+    assert len(KNOBS) == 18
 
 
 def test_subcommands():
