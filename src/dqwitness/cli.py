@@ -17,6 +17,7 @@ byte-identical reports and figure files.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from contextlib import nullcontext
@@ -24,10 +25,7 @@ from math import pi
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
-from .algebra import build_two_spin_operators
 from .bounds import (
     TISSUE_DEFAULTS,
     PhysicalParams,
@@ -38,7 +36,6 @@ from .bounds import (
     normalized_spectral_density,
     witness,
 )
-from .dynamics import Trajectory, StateVector, build_su11_rep, hyperbolic_signal, propagate
 from .errors import DqwitnessError, UnsupportedKind
 from .measurement import (
     DEFAULT_CV_THRESHOLD,
@@ -48,7 +45,6 @@ from .measurement import (
     ingest,
     stability_gate,
 )
-from .thermal import DensityMatrix, OpenTrajectory, default_thermal_model, evolve_master
 
 TOOL_NAME = "dqwitness"
 
@@ -72,6 +68,32 @@ DQ_T_MAX = 2.0
 DQ_SAMPLES = 201
 OPEN_T_MAX = 5.0
 OPEN_SAMPLES = 101
+
+# The numpy-backed layers the figure helpers draw on, bound here on first use
+# so that `bounds` and `witness` never import numpy.
+_FIGURE_LAYERS = {
+    ".algebra": ("build_two_spin_operators",),
+    ".dynamics": ("StateVector", "Trajectory", "build_su11_rep", "hyperbolic_signal", "propagate"),
+    ".thermal": ("DensityMatrix", "OpenTrajectory", "default_thermal_model", "evolve_master"),
+}
+
+
+def _figure_layers() -> None:
+    """Bind numpy and the `_FIGURE_LAYERS` names; a name already bound (a wrapper, say) stays."""
+    namespace = globals()
+    if "np" not in namespace:
+        namespace["np"] = importlib.import_module("numpy")
+    for module, names in _FIGURE_LAYERS.items():
+        layer = importlib.import_module(module, __package__)
+        for name in names:
+            namespace.setdefault(name, getattr(layer, name))
+
+
+def __getattr__(name):
+    if name == "np" or any(name in names for names in _FIGURE_LAYERS.values()):
+        _figure_layers()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def parse_config_file(path: str | Path) -> dict[str, float]:
@@ -147,8 +169,8 @@ def build_report(
     The measured fraction is the series maximum (the transient burst peak),
     taken directly from the f_dq column.
     """
-    peak_index = int(np.argmax(series.f_dq))
-    f_dq_peak = float(series.f_dq[peak_index])
+    peak_index = max(range(len(series)), key=series.f_dq.__getitem__)  # first on ties
+    f_dq_peak = series.f_dq[peak_index]
     report = witness(f_dq_peak, params, gate.status)
     doc = {
         **_report_head(params),
@@ -175,7 +197,7 @@ def build_report(
             "rows": len(series),
             "skipped": list(series.skipped),
             "f_dq_source": "f_dq",
-            "peak_time_s": float(series.times[peak_index]),
+            "peak_time_s": series.times[peak_index],
         },
         "summary": (
             f"w_th = {_sig4(report.w_th)} "
@@ -219,7 +241,7 @@ def _write_csv(
 def write_trajectory_csv(traj: Trajectory, destination: str | None) -> None:
     """Columns: time_s, then one column per observable."""
     keys = list(traj.expectations)
-    columns = [traj.times] + [np.real(traj.expectations[k]) for k in keys]
+    columns = [traj.times] + [traj.expectations[k].real for k in keys]
     _write_csv(destination, ["time_s"] + keys, columns)
 
 
@@ -238,6 +260,7 @@ def zq_exchange_trajectory() -> Trajectory:
     The observable oscillates as cos(2Jt)/2, so one period is pi/J seconds;
     the grid spans ZQ_PERIODS of them at J = ZQ_COUPLING.
     """
+    _figure_layers()
     ops = build_two_spin_operators()
     h = ZQ_COUPLING * (ops["S+"].entries + ops["S-"].entries)
     times = np.linspace(0.0, ZQ_PERIODS * pi / ZQ_COUPLING, ZQ_SAMPLES)
@@ -247,6 +270,7 @@ def zq_exchange_trajectory() -> Trajectory:
 
 def dq_pair_trajectory() -> Trajectory:
     """Vacuum pair signal on the ladder, truncated once from the coherent-state tail."""
+    _figure_layers()
     rep = build_su11_rep(DQ_INDEX, 64)
     times = np.linspace(0.0, DQ_T_MAX, DQ_SAMPLES)
     return hyperbolic_signal(rep, DQ_COUPLING, times)
@@ -254,6 +278,7 @@ def dq_pair_trajectory() -> Trajectory:
 
 def open_system_trajectory(params: PhysicalParams) -> OpenTrajectory:
     """Maximally mixed two-spin state relaxing under the default bath model."""
+    _figure_layers()
     model = default_thermal_model(
         omega0=params.omega_0,
         omega_d=params.omega_d,
@@ -269,6 +294,7 @@ def bpp_curve() -> tuple[np.ndarray, np.ndarray]:
     The grid starts at 0 and steps by 5/300 so that x = 1 (the peak, value
     exactly 1) is a grid point; the open right end just misses x = 5.
     """
+    _figure_layers()
     x = np.arange(BPP_SAMPLES) * BPP_X_MAX / BPP_SAMPLES
     return x, normalized_spectral_density(x)
 

@@ -88,7 +88,7 @@ class MalformedHeader(DqwitnessError):
 
 
 class MalformedRow(DqwitnessError):
-    """CSV line the csv module cannot read, such as an oversized field."""
+    """CSV line that cannot be read: bytes that are not UTF-8, or an oversized field."""
 
 
 class NonMonotonicTime(DqwitnessError):

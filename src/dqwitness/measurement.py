@@ -6,18 +6,18 @@ that the dipolar network stayed stationary and motionally narrowed while the
 pair signal was recorded; the gate quantifies stability as a coefficient of
 variation plus a worst single-sample deviation from the window median, with
 the optional magnetization-transfer column held to the same CV threshold.
+Both run on the standard library alone: a series is a few thousand scalars.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from codecs import BOM_UTF8
 from dataclasses import dataclass
-from math import isfinite
+from math import fsum, inf, isfinite, sqrt
 from pathlib import Path
-from typing import Iterator, TextIO
-
-import numpy as np
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .bounds import GateStatus
 from .errors import (
@@ -40,56 +40,65 @@ DEFAULT_DEV_THRESHOLD = 0.10
 class MeasurementSeries:
     """Validated time series of fractional amplitude and stability observables.
 
-    Every value must be finite (NonFiniteValue otherwise, naming the column);
-    f_dq >= 0, t2_star > 0 and mt_ratio in [0, 1] (NegativeValue otherwise).
+    Each column is held as a tuple of floats; any sequence of numbers (a
+    list, a numpy array) is accepted and converted.  Every value must be
+    finite (NonFiniteValue otherwise, naming the column); f_dq >= 0,
+    t2_star > 0 and mt_ratio in [0, 1] (NegativeValue otherwise).
     """
 
-    times: np.ndarray
-    f_dq: np.ndarray
-    t2_star: np.ndarray
-    mt_ratio: np.ndarray | None = None
+    times: tuple[float, ...]
+    f_dq: tuple[float, ...]
+    t2_star: tuple[float, ...]
+    mt_ratio: tuple[float, ...] | None = None
     skipped: tuple[str, ...] = ()
 
     def __post_init__(self):
         for name in ("times", "f_dq", "t2_star", "mt_ratio"):
-            arr = getattr(self, name)
-            if arr is None:
+            column = getattr(self, name)
+            if column is None:
                 continue
-            arr = np.array(arr, dtype=float)
-            if not np.isfinite(arr).all():
-                bad = arr[~np.isfinite(arr)][0]
+            column = tuple(map(float, column))
+            bad = next((v for v in column if not isfinite(v)), None)
+            if bad is not None:
                 raise NonFiniteValue(f"{name} must be finite, got {bad}")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        n = self.times.size
-        if self.f_dq.size != n or self.t2_star.size != n:
+            object.__setattr__(self, name, column)
+        n = len(self.times)
+        if len(self.f_dq) != n or len(self.t2_star) != n:
             raise ValueError("column lengths differ")
-        if self.mt_ratio is not None and self.mt_ratio.size != n:
+        if self.mt_ratio is not None and len(self.mt_ratio) != n:
             raise ValueError("column lengths differ")
-        if np.any(self.f_dq < 0):
-            raise NegativeValue(f"f_dq must be >= 0, got {self.f_dq.min()}")
-        if np.any(self.t2_star <= 0):
-            raise NegativeValue(f"t2_star must be > 0, got {self.t2_star.min()}")
-        if self.mt_ratio is not None and np.any((self.mt_ratio < 0) | (self.mt_ratio > 1)):
+        if any(v < 0 for v in self.f_dq):
+            raise NegativeValue(f"f_dq must be >= 0, got {min(self.f_dq)}")
+        if any(v <= 0 for v in self.t2_star):
+            raise NegativeValue(f"t2_star must be > 0, got {min(self.t2_star)}")
+        if self.mt_ratio is not None and not all(0 <= v <= 1 for v in self.mt_ratio):
             raise NegativeValue("mt_ratio must lie in [0, 1]")
-        if n > 1 and not np.all(np.diff(self.times) > 0):
+        if not all(a < b for a, b in zip(self.times, self.times[1:])):
             raise NonMonotonicTime("times must be strictly increasing")
 
     def __len__(self) -> int:
-        return int(self.times.size)
+        return len(self.times)
 
 
 def ingest(path: str | Path) -> MeasurementSeries:
-    """Parse and validate a measurement CSV file.
+    """Parse and validate a measurement CSV file of UTF-8 text.
 
+    A leading byte-order mark (as spreadsheet exports write) is dropped.
     Blank lines and rows that do not parse as the right number of floats are
     skipped and recorded in the series diagnostics; sign/range violations,
-    out-of-order time stamps and lines the csv module cannot read (a field
-    over its size limit, MalformedRow) are hard errors naming the offending
-    line.
+    out-of-order time stamps and lines that cannot be read (bytes that are
+    not UTF-8, or a field over the csv module's size limit: MalformedRow)
+    are hard errors naming the offending line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        return _ingest_stream(handle)
+    data = Path(path).read_bytes().removeprefix(BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedRow(
+            f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 text ({exc.reason})"
+        ) from None
+    return _ingest_stream(io.StringIO(text, newline=""))
 
 
 def _rows(reader) -> Iterator[list[str]]:
@@ -110,7 +119,7 @@ def _ingest_stream(stream: TextIO) -> MeasurementSeries:
     header = [h.strip() for h in header]
     if tuple(header[: len(REQUIRED_COLUMNS)]) != REQUIRED_COLUMNS or len(header) > 4:
         raise MalformedHeader(
-            f"line 1: expected header time_s,f_dq,t2_star_s[,mt_ratio], got {','.join(header)}"
+            f"line 1: expected header time_s,f_dq,t2_star_s[,mt_ratio], got {','.join(header)!r}"
         )
     has_mt = len(header) == 4
     if has_mt and header[3] != OPTIONAL_COLUMN:
@@ -156,10 +165,10 @@ def _ingest_stream(stream: TextIO) -> MeasurementSeries:
         fdqs.append(f_dq)
         t2s.append(t2)
     return MeasurementSeries(
-        times=np.array(times),
-        f_dq=np.array(fdqs),
-        t2_star=np.array(t2s),
-        mt_ratio=np.array(mts) if has_mt else None,
+        times=times,
+        f_dq=fdqs,
+        t2_star=t2s,
+        mt_ratio=mts if has_mt else None,
         skipped=tuple(skipped),
     )
 
@@ -181,12 +190,35 @@ class GateResult:
     dev_threshold: float
 
 
-def _coefficient_of_variation(values: np.ndarray) -> float:
-    mean = float(values.mean())
-    std = float(values.std(ddof=0))
+def _sum(values: Iterable[float]) -> float:
+    """Correctly rounded sum of non-negative floats; inf where it overflows."""
+    try:
+        return fsum(values)
+    except OverflowError:
+        return inf
+
+
+def _coefficient_of_variation(values: Sequence[float]) -> float:
+    """Population standard deviation over mean; NaN where the mean overflows.
+
+    Both sums are correctly rounded (`math.fsum`), so the result can differ
+    from numpy's pairwise-summed `std(ddof=0) / mean` in the last few ulp.
+    """
+    n = len(values)
+    mean = _sum(values) / n
+    std = sqrt(_sum((v - mean) * (v - mean) for v in values) / n)
     if mean == 0.0:
-        return 0.0 if std == 0.0 else float("inf")
+        return 0.0 if std == 0.0 else inf
     return std / mean
+
+
+def _median(values: Sequence[float]) -> float:
+    """Middle value, or the mean of the middle two, as numpy.median computes it."""
+    ordered = sorted(values)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[half]
+    return (ordered[half - 1] + ordered[half]) / 2
 
 
 def stability_gate(
@@ -212,13 +244,10 @@ def stability_gate(
     if len(series) < 3:
         raise InsufficientRows(f"gate needs >= 3 rows, got {len(series)}")
     t2 = series.t2_star
-    with np.errstate(over="ignore", invalid="ignore"):
-        t2_cv = _coefficient_of_variation(t2)
-        median = float(np.median(t2))
-        max_rel_deviation = float(np.abs(t2 - median).max() / median)
-        mt_cv = None
-        if series.mt_ratio is not None:
-            mt_cv = _coefficient_of_variation(series.mt_ratio)
+    t2_cv = _coefficient_of_variation(t2)
+    median = _median(t2)
+    max_rel_deviation = max(abs(v - median) for v in t2) / median
+    mt_cv = None if series.mt_ratio is None else _coefficient_of_variation(series.mt_ratio)
     statistics = {"t2_cv": t2_cv, "max_rel_deviation": max_rel_deviation, "mt_cv": mt_cv}
     for name, value in statistics.items():
         if value is not None and not isfinite(value):

@@ -1,11 +1,14 @@
 """Command-line pipeline: reports, exit codes, figure emission, determinism."""
 
 import argparse
+import contextlib
 import inspect
 import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,3 +449,62 @@ class TestVerdictMapping:
         high_verdict, _ = _verdict(params, high, status)
         if low_verdict != "not_excluded":
             assert high_verdict == low_verdict
+
+
+# -- the whole CLI, on arbitrary input ------------------------------------------
+
+_CELL = st.one_of(
+    st.floats().map(repr),  # nan, inf, subnormals and the float extremes included
+    st.sampled_from(["", " ", "1e308", "-0.0", "5e-324", "1e-320", "\x00", '"1,2"', "﻿0.1",
+                     "0" * 131073]),
+    st.text(max_size=12),
+)
+_ROW = st.one_of(
+    st.lists(_CELL, min_size=1, max_size=5).map(",".join),
+    st.tuples(st.integers(0, 50), st.floats(0.0), st.floats(0.0), st.floats(0.0, 1.0)).map(
+        lambda r: ",".join(map(repr, r))),
+)
+_HEADER = st.one_of(
+    st.sampled_from(["time_s,f_dq,t2_star_s", "time_s,f_dq,t2_star_s,mt_ratio",
+                     "﻿time_s,f_dq,t2_star_s", "time_s,f_dq", '"time\ns",f_dq,t2_star_s']),
+    st.text(max_size=30),
+)
+CSV_BYTES = st.one_of(
+    st.builds(lambda header, rows, eol: eol.join([header, *rows]).encode("utf-8"),
+              _HEADER, st.lists(_ROW, max_size=12), st.sampled_from(["\n", "\r\n", "\r"])),
+    st.binary(max_size=200),
+)
+FLAGS = st.dictionaries(
+    st.sampled_from(sorted(f"--{key.replace('_', '-')}" for key in dqwitness.bounds.TISSUE_DEFAULTS)
+                    + ["--cv-threshold", "--dev-threshold"]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    max_size=4,
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@given(command=st.sampled_from(["bounds", "witness"]), flags=FLAGS, data=CSV_BYTES)
+@settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("ignore::dqwitness.bounds.ValidityRegimeWarning")
+def test_any_input_ends_in_a_report_or_one_error_line(command, flags, data):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "series.csv"
+        path.write_bytes(data)
+        argv = [command, "--input", str(path)] if command == "witness" else [command]
+        for flag, value in flags.items():
+            if command == "witness" or flag not in ("--cv-threshold", "--dev-threshold"):
+                argv += [flag, repr(value)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+        assert out.getvalue() == ""
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert err.getvalue() == ""

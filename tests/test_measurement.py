@@ -1,7 +1,11 @@
 """CSV ingestion contract and the line-width stability gate."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqwitness.errors import (
     InsufficientRows,
@@ -13,6 +17,7 @@ from dqwitness.errors import (
 )
 from dqwitness.measurement import (
     MeasurementSeries,
+    _median,
     ingest,
     ingest_text,
     stability_gate,
@@ -35,7 +40,7 @@ class TestIngest:
             "time_s,f_dq,t2_star_s\n0.0,0.01,0.045\n0.1,0.02,0.046\n0.2,0.15,0.044\n"
         )
         assert len(series) == 3
-        np.testing.assert_allclose(series.times, [0.0, 0.1, 0.2])
+        assert series.times == (0.0, 0.1, 0.2)
         np.testing.assert_allclose(series.f_dq, [0.01, 0.02, 0.15])
         assert series.mt_ratio is None
         assert series.skipped == ()
@@ -99,6 +104,18 @@ class TestIngest:
         path = tmp_path / "series.csv"
         path.write_text("time_s,f_dq,t2_star_s\n0,0.01,0.045\n1,0.01,0.045\n")
         assert len(ingest(path)) == 2
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        # Spreadsheet exports often start UTF-8 CSV files with a BOM.
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"\xef\xbb\xbftime_s,f_dq,t2_star_s\n0,0.01,0.045\n1,0.01,0.045\n")
+        assert ingest(path).t2_star == (0.045, 0.045)
+
+    def test_undecodable_byte_names_the_line(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"\xef\xbb\xbftime_s,f_dq,t2_star_s\n0,0.01,0.045\n1,0.01,0.04\xff5\n")
+        with pytest.raises(MalformedRow, match="line 3: byte 0xff is not UTF-8"):
+            ingest(path)
 
 
 class TestStabilityGate:
@@ -164,6 +181,49 @@ class TestStabilityGate:
         with pytest.raises(ValueError, match=name):
             stability_gate(make_series([0.045] * 10), **{name: -0.01})
         assert stability_gate(make_series([0.045] * 10), **{name: 0.0}).status == "stable"
+
+
+def _exact_cv(values):
+    """std(ddof=0) / mean in exact rational arithmetic, then one rounding per step."""
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    variance = sum((v - mean) ** 2 for v in exact) / len(exact)
+    return math.sqrt(variance / mean**2)
+
+
+positive_series = st.lists(st.floats(min_value=1e-9, max_value=1e9), min_size=3, max_size=60)
+
+
+class TestGateStatisticsAgainstNumpy:
+    """The gate sums with math.fsum; numpy's pairwise sums differ only in rounding.
+
+    The CV is held to the rounding error of its own formula: 8 units of
+    roundoff relative to the exact value, plus 4 units absolute, which is
+    how far a mean rounded from a correctly rounded sum can move the standard
+    deviation of a near-constant series.  numpy's pairwise sums are off by
+    more (a few ulp in the benchmark's reports), so the numpy comparison is
+    a looser cross-check.  The median and the worst deviation take no sums
+    and match numpy bit for bit.
+    """
+
+    @given(values=positive_series)
+    @settings(max_examples=300, deadline=None)
+    def test_cv_is_correctly_rounded_up_to_its_formula(self, values):
+        gate = stability_gate(make_series(values))
+        exact = _exact_cv(values)
+        assert abs(gate.t2_cv - exact) <= 2**-50 * exact + 2**-51
+        t2 = np.array(values)
+        reference = float(t2.std(ddof=0)) / float(t2.mean())
+        assert math.isclose(gate.t2_cv, reference, rel_tol=1e-13, abs_tol=1e-14)
+
+    @given(values=positive_series)
+    @settings(max_examples=300, deadline=None)
+    def test_median_and_worst_deviation_equal_numpy(self, values):
+        t2 = np.array(values)
+        median = float(np.median(t2))
+        assert _median(values) == median
+        gate = stability_gate(make_series(values))
+        assert gate.max_rel_deviation == float(np.abs(t2 - median).max() / median)
 
 
 class TestNonFiniteFields:
