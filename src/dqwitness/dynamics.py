@@ -3,10 +3,12 @@
 The flip-flop sector exchanges population at a fixed frequency and every
 expectation stays bounded; the pair-raising sector, realized on a truncated
 lowest-weight ladder, produces the hyperbolic vacuum signal
-s(t) = 2k sinh^2(g t).  Propagation is by exact eigendecomposition of the
-(Hermitian) generator, so there is no step-size tolerance to track; the only
-controlled approximation is the ladder truncation, sized once from the
-closed-form tail of the vacuum's coherent-state orbit (Perelomov 1972).
+s(t) = 2k sinh^2(g t).  Propagation is spectral and exact: an eigendecomposition
+of the (Hermitian) two-spin generator, and one singular value decomposition of
+the ladder generator's even-to-odd block, since every ladder element moves the
+level by exactly one (Golub & Kahan 1965).  There is no step-size tolerance to
+track; the only controlled approximation is the ladder truncation, sized once
+from the closed-form tail of the vacuum's coherent-state orbit (Perelomov 1972).
 """
 
 from __future__ import annotations
@@ -172,14 +174,53 @@ def _ladder_elements(k: float, n_max: int) -> np.ndarray:  # <n+1|K+|n>, n = 0..
     return np.sqrt((n + 1.0) * (n + 2.0 * k))
 
 
+def _refuse_oversized(n_max: int) -> None:
+    if n_max > DEFAULT_TRUNCATION_LIMIT:
+        raise TruncationExceeded(
+            f"n_max {n_max} exceeds DEFAULT_TRUNCATION_LIMIT {DEFAULT_TRUNCATION_LIMIT}"
+        )
+
+
+def _ladder_populations(a: np.ndarray, tgrid: np.ndarray) -> np.ndarray:
+    """|<n|exp(-iHt)|0>|^2 for levels n = 0..len(a) and every t, H = diag(a, -1) + diag(a, 1).
+
+    H couples even levels only to odd ones, H = [[0, B], [B^T, 0]], so one SVD
+    B = U diag(s) V^T of the even-to-odd block B[i, j] = H[2i, 2j+1] gives
+    even amplitudes e0 - 2 U (sin^2(s t/2) c) and odd ones -i V (sin(s t) c),
+    c = U^T e0: exact at t = 0, and the kernel of B^T needs no case of its own.
+    Raises NonHermitianGenerator when any state's norm drifts beyond 1e-10.
+    """
+    levels = a.size + 1
+    b = np.zeros(((levels + 1) // 2, levels // 2))
+    j = np.arange(a.size)  # a[j] couples level j to j+1: one of them even, one odd
+    b[(j + 1) // 2, j // 2] = a
+    u, s, vt = np.linalg.svd(b, full_matrices=False)
+    st = np.outer(s, tgrid)
+    c = u[0][:, None]
+    even = -2.0 * (u @ (np.sin(st / 2.0) ** 2 * c))
+    even[0] += 1.0
+    populations = np.empty((levels, tgrid.size))
+    populations[0::2] = even**2
+    populations[1::2] = (vt.T @ (np.sin(st) * c)) ** 2
+    drift = float(np.abs(np.sqrt(populations.sum(axis=0)) - 1.0).max(initial=0.0))
+    if drift > 1e-10:
+        raise NonHermitianGenerator(f"norm drift {drift:.3e} during propagation")
+    return populations
+
+
 def build_su11_rep(k: float, n_max: int) -> Su11Rep:
-    """Ladder matrices of the lowest-weight representation with index k."""
+    """Ladder matrices of the lowest-weight representation with index k.
+
+    n_max above DEFAULT_TRUNCATION_LIMIT raises TruncationExceeded before any
+    matrix is built.
+    """
     if not isfinite(k):
         raise NonFiniteValue(f"index must be finite, got {k}")
     if k <= 0:
         raise InvalidBargmannIndex(f"index must be positive, got {k}")
     if n_max < 2:
         raise TruncationTooSmall(f"need n_max >= 2, got {n_max}")
+    _refuse_oversized(n_max)
     k0 = np.diag(np.arange(n_max + 1) + k).astype(complex)
     kp = np.diag(_ladder_elements(k, n_max), -1).astype(complex)
     return Su11Rep(
@@ -216,11 +257,12 @@ def _coherent_top_index(k: float, gt: float) -> int:
 def hyperbolic_signal(rep: Su11Rep, g: float, times: Sequence[float]) -> Trajectory:
     """Pair signal s(t) = <K0(t)> - k of the vacuum under H = g(K+ + K-).
 
-    One eigendecomposition of the real tridiagonal generator at max(rep.n_max,
-    _coherent_top_index(...)) levels.  TruncationExceeded: before it past
-    DEFAULT_TRUNCATION_LIMIT; after it if the top-level population or (n+1) times it
-    reaches DEFAULT_TAIL_BOUND, which keeps the error on s(t) at the tail's scale.
-    A non-finite coupling or a bad or negative time grid raises before any work.
+    One real SVD of the generator's even-to-odd block (see _ladder_populations)
+    at top index max(rep.n_max, _coherent_top_index(...)).  TruncationExceeded:
+    before it when that index passes DEFAULT_TRUNCATION_LIMIT; after it if the
+    top-level population or (n+1) times it reaches DEFAULT_TAIL_BOUND, which
+    keeps the error on s(t) at the tail's scale.  A non-finite coupling or a
+    bad or negative time grid raises before any work.
     """
     if not isfinite(g):
         raise NonFiniteValue(f"coupling must be finite, got {g}")
@@ -228,10 +270,8 @@ def hyperbolic_signal(rep: Su11Rep, g: float, times: Sequence[float]) -> Traject
     if tgrid[0] < 0:
         raise ValueError("times must be non-negative")
     n_max = max(rep.n_max, _coherent_top_index(rep.k, abs(g) * float(tgrid[-1])))
-    h = np.diag(g * _ladder_elements(rep.k, n_max), -1)
-    h += h.T
-    vacuum = StateVector.basis_state(n_max + 1, 0).amplitudes
-    populations = np.abs(_spectral_states(h, vacuum, tgrid)) ** 2
+    _refuse_oversized(n_max)
+    populations = _ladder_populations(g * _ladder_elements(rep.k, n_max), tgrid)
     signal = np.arange(n_max + 1) @ populations  # <K0> - k without the cancellation
     tail_max = float(populations[-1].max())
     if not (tail_max < DEFAULT_TAIL_BOUND and tail_max * (n_max + 1) < DEFAULT_TAIL_BOUND):

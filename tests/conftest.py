@@ -4,9 +4,9 @@ import pytest
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Names of the numpy eigensolvers called while the test runs, in call order."""
+    """Names of the numpy decompositions called while the test runs, in call order."""
     calls = []
-    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
         original = getattr(np.linalg, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):

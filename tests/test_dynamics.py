@@ -1,5 +1,7 @@
 """Closed-system propagation: bounded exchange vs hyperbolic ladder growth."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -162,7 +164,7 @@ class TestHyperbolicSignal:
         assert 0.0 <= traj.truncation_tail < 1e-8
         assert traj.n_levels >= 65
 
-    def test_doubling_changes_nothing_on_valid_window(self):
+    def test_larger_truncation_changes_nothing_on_valid_window(self):
         times = np.linspace(0.0, 2.0, 21)
         a = hyperbolic_signal(build_su11_rep(0.5, 512), 1.0, times)
         b = hyperbolic_signal(build_su11_rep(0.5, 1024), 1.0, times)
@@ -175,12 +177,38 @@ class TestHyperbolicSignal:
             hyperbolic_signal(build_su11_rep(0.5, 64), 1.0, np.linspace(0, 3.5, 16))
         assert eigensolves == []
 
+    def test_oversized_ladder_refused_before_any_decomposition(self, eigensolves):
+        with pytest.raises(TruncationExceeded, match="n_max 4097"):
+            build_su11_rep(0.5, 4097)
+        # a hand-built representation reaches the same check in hyperbolic_signal
+        rep = dataclasses.replace(build_su11_rep(0.5, 4), n_max=4097)
+        with pytest.raises(TruncationExceeded, match="n_max 4097"):
+            hyperbolic_signal(rep, 1.0, [0.0, 1.0])
+        assert eigensolves == []
+
+    @pytest.mark.parametrize("n_max", [64, 65])
+    def test_one_real_half_size_svd(self, monkeypatch, n_max):
+        seen = []
+        svd = np.linalg.svd
+
+        def recorded(b, *args, **kwargs):
+            seen.append(b)
+            return svd(b, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        traj = hyperbolic_signal(build_su11_rep(0.5, n_max), 1.0, np.linspace(0, 0.5, 11))
+        n = traj.n_levels
+        assert n == n_max + 1
+        [b] = seen
+        assert b.dtype == np.float64
+        assert b.shape == ((n + 1) // 2, n // 2)
+
     def test_measured_tail_breach_raises_after_one_solve(self, eigensolves, monkeypatch):
         # a margin far below 1 sizes the ladder too small for the measured check
         monkeypatch.setattr(dynamics, "TAIL_MARGIN", 1e-4)
         with pytest.raises(TruncationExceeded, match="measured top-level tail"):
             hyperbolic_signal(build_su11_rep(0.5, 4), 1.0, np.linspace(0, 2, 21))
-        assert eigensolves == ["eigh"]
+        assert eigensolves == ["svd"]
 
     @pytest.mark.parametrize("g, times", [(0.0, [0.0, 1.0, 2.0]), (1.0, [0.0]), (0.0, [0.0])])
     def test_no_evolution_stays_in_the_vacuum(self, eigensolves, g, times):
@@ -188,7 +216,7 @@ class TestHyperbolicSignal:
         assert np.abs(traj.expectations["pair_signal"]).max() < 1e-25
         assert traj.truncation_tail < 1e-25
         assert traj.n_levels == 5
-        assert eigensolves == ["eigh"]
+        assert eigensolves == ["svd"]
 
     @given(
         k=st.floats(0.05, 5.0),
@@ -203,13 +231,47 @@ class TestHyperbolicSignal:
         eigensolves.clear()
         times = np.unique(np.linspace(0.0, gt / abs(g), samples))  # tiny gt collapses the grid
         traj = hyperbolic_signal(build_su11_rep(k, 2), g, times)
-        assert eigensolves == ["eigh"]
+        assert eigensolves == ["svd"]
+        assert traj.expectations["pair_signal"][0] == 0.0
         tail = traj.truncation_tail
         assert tail < dynamics.DEFAULT_TAIL_BOUND
         assert tail * traj.n_levels < dynamics.DEFAULT_TAIL_BOUND
         closed = 2.0 * k * np.sinh(g * times) ** 2
         # squared rounding of the amplitudes leaves an absolute floor near 1e-29
         np.testing.assert_allclose(traj.expectations["pair_signal"], closed, rtol=1e-6, atol=1e-25)
+
+
+def dense_ladder_populations(a, tgrid):
+    """Reference: one complex eigh of the full tridiagonal generator, vacuum start."""
+    h = np.diag(a, -1).astype(complex)
+    h += h.T
+    evals, evecs = np.linalg.eigh(h)
+    states = evecs @ (np.exp(-1j * np.outer(evals, tgrid)) * evecs[0].conj()[:, None])
+    return np.abs(states) ** 2
+
+
+@given(
+    half=st.integers(1, 30),
+    odd=st.booleans(),
+    g=st.floats(-3.0, -0.1) | st.just(0.0) | st.floats(0.1, 3.0),
+    t_max=st.floats(0.0, 3.0),
+    samples=st.integers(1, 40),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_ladder_populations_match_dense_reference(half, odd, g, t_max, samples, data):
+    n_max = 2 * half + odd
+    a = np.array(data.draw(st.lists(st.floats(0.01, 10.0), min_size=n_max, max_size=n_max)))
+    tgrid = np.unique(np.linspace(0.0, t_max, samples))
+    populations = dynamics._ladder_populations(g * a, tgrid)
+    assert populations.shape == (n_max + 1, tgrid.size)
+    np.testing.assert_allclose(
+        populations, dense_ladder_populations(g * a, tgrid), rtol=0, atol=1e-12
+    )
+    np.testing.assert_allclose(populations.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+    vacuum = np.zeros(n_max + 1)
+    vacuum[0] = 1.0
+    assert np.array_equal(populations[:, 0], vacuum)  # t = 0 exactly
 
 
 class TestGrowthClassification:
