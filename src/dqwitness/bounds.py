@@ -11,7 +11,6 @@ only while the line-width stability gate holds.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import inf, isfinite, pi
 from typing import Literal, NamedTuple
 
@@ -41,8 +40,47 @@ class ValidityRegimeWarning(UserWarning):
     """A scaling estimate was evaluated outside its validity regime."""
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class _Record:
+    """Immutable record whose `__init__` validates and fills `__slots__`.
+
+    Assigning or deleting an attribute raises AttributeError.  Equality,
+    hashing, `repr` and pickling go by field, in `__slots__` order, which is
+    also the order of `__init__`'s parameters: a pickle is rebuilt through
+    the validating constructor.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _assign(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class PhysicalParams(_Record):
     """Scalar physics inputs, all in SI units (angular frequencies in rad/s).
 
     omega_d        dipolar fluctuation amplitude
@@ -53,27 +91,32 @@ class PhysicalParams:
     omega_0        Larmor frequency
     """
 
-    omega_d: float
-    omega_d_static: float
-    temperature: float
-    mixing_time: float
-    tau_c: float
-    omega_0: float
+    __slots__ = ("omega_d", "omega_d_static", "temperature", "mixing_time", "tau_c", "omega_0")
 
-    def __post_init__(self):
-        _require_finite(**vars(self))
-        positive = {
-            "omega_d": self.omega_d,
-            "temperature": self.temperature,
-            "mixing_time": self.mixing_time,
-            "tau_c": self.tau_c,
-            "omega_0": self.omega_0,
+    def __init__(
+        self,
+        omega_d: float,
+        omega_d_static: float,
+        temperature: float,
+        mixing_time: float,
+        tau_c: float,
+        omega_0: float,
+    ):
+        fields = {
+            "omega_d": omega_d,
+            "omega_d_static": omega_d_static,
+            "temperature": temperature,
+            "mixing_time": mixing_time,
+            "tau_c": tau_c,
+            "omega_0": omega_0,
         }
-        for name, value in positive.items():
-            if not value > 0:
+        _require_finite(**fields)
+        for name, value in fields.items():
+            if name != "omega_d_static" and not value > 0:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
-        if self.omega_d_static < 0:
+        if omega_d_static < 0:
             raise ValueError("omega_d_static must be non-negative")
+        self._assign(**fields)
 
     @classmethod
     def from_hz(
@@ -185,8 +228,7 @@ def f_class_max(params: PhysicalParams, gate_status: GateStatus = "stable") -> C
     return ClassicalBound(value=value, certifiable=gate_status == "stable")
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Witness evaluation: inputs, bound decomposition, and verdict."""
 
     epsilon_th: float

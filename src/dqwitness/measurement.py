@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import csv
 import io
-from codecs import BOM_UTF8
-from dataclasses import dataclass
 from math import fsum, inf, isfinite, sqrt
+from operator import lt
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence
 
-from .bounds import GateStatus
+from .bounds import GateStatus, _Record
 from .errors import (
     InsufficientRows,
     MalformedHeader,
@@ -36,8 +35,7 @@ DEFAULT_CV_THRESHOLD = 0.05
 DEFAULT_DEV_THRESHOLD = 0.10
 
 
-@dataclass(frozen=True)
-class MeasurementSeries:
+class MeasurementSeries(_Record):
     """Validated time series of fractional amplitude and stability observables.
 
     Each column is held as a tuple of floats; any sequence of numbers (a
@@ -46,35 +44,39 @@ class MeasurementSeries:
     t2_star > 0 and mt_ratio in [0, 1] (NegativeValue otherwise).
     """
 
-    times: tuple[float, ...]
-    f_dq: tuple[float, ...]
-    t2_star: tuple[float, ...]
-    mt_ratio: tuple[float, ...] | None = None
-    skipped: tuple[str, ...] = ()
+    __slots__ = ("times", "f_dq", "t2_star", "mt_ratio", "skipped")
 
-    def __post_init__(self):
-        for name in ("times", "f_dq", "t2_star", "mt_ratio"):
-            column = getattr(self, name)
+    def __init__(
+        self,
+        times: Sequence[float],
+        f_dq: Sequence[float],
+        t2_star: Sequence[float],
+        mt_ratio: Sequence[float] | None = None,
+        skipped: tuple[str, ...] = (),
+    ):
+        columns = {"times": times, "f_dq": f_dq, "t2_star": t2_star, "mt_ratio": mt_ratio}
+        for name, column in columns.items():
             if column is None:
                 continue
-            column = tuple(map(float, column))
-            bad = next((v for v in column if not isfinite(v)), None)
-            if bad is not None:
+            column = columns[name] = tuple(map(float, column))
+            if not all(map(isfinite, column)):
+                bad = next(v for v in column if not isfinite(v))
                 raise NonFiniteValue(f"{name} must be finite, got {bad}")
-            object.__setattr__(self, name, column)
-        n = len(self.times)
-        if len(self.f_dq) != n or len(self.t2_star) != n:
+        times, f_dq, t2_star, mt_ratio = columns.values()
+        n = len(times)
+        if len(f_dq) != n or len(t2_star) != n:
             raise ValueError("column lengths differ")
-        if self.mt_ratio is not None and len(self.mt_ratio) != n:
+        if mt_ratio is not None and len(mt_ratio) != n:
             raise ValueError("column lengths differ")
-        if any(v < 0 for v in self.f_dq):
-            raise NegativeValue(f"f_dq must be >= 0, got {min(self.f_dq)}")
-        if any(v <= 0 for v in self.t2_star):
-            raise NegativeValue(f"t2_star must be > 0, got {min(self.t2_star)}")
-        if self.mt_ratio is not None and not all(0 <= v <= 1 for v in self.mt_ratio):
+        if min(f_dq, default=0.0) < 0:
+            raise NegativeValue(f"f_dq must be >= 0, got {min(f_dq)}")
+        if min(t2_star, default=1.0) <= 0:
+            raise NegativeValue(f"t2_star must be > 0, got {min(t2_star)}")
+        if mt_ratio and not 0 <= min(mt_ratio) <= max(mt_ratio) <= 1:
             raise NegativeValue("mt_ratio must lie in [0, 1]")
-        if not all(a < b for a, b in zip(self.times, self.times[1:])):
+        if not all(map(lt, times, times[1:])):
             raise NonMonotonicTime("times must be strictly increasing")
+        self._assign(skipped=skipped, **columns)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -83,14 +85,10 @@ class MeasurementSeries:
 def ingest(path: str | Path) -> MeasurementSeries:
     """Parse and validate a measurement CSV file of UTF-8 text.
 
-    A leading byte-order mark (as spreadsheet exports write) is dropped.
-    Blank lines and rows that do not parse as the right number of floats are
-    skipped and recorded in the series diagnostics; sign/range violations,
-    out-of-order time stamps and lines that cannot be read (bytes that are
-    not UTF-8, or a field over the csv module's size limit: MalformedRow)
-    are hard errors naming the offending line.
+    A byte that is not UTF-8 raises MalformedRow naming its line; the
+    decoded text is parsed by `ingest_text`, under the same contract.
     """
-    data = Path(path).read_bytes().removeprefix(BOM_UTF8)
+    data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -98,72 +96,75 @@ def ingest(path: str | Path) -> MeasurementSeries:
         raise MalformedRow(
             f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 text ({exc.reason})"
         ) from None
-    return _ingest_stream(io.StringIO(text, newline=""))
+    return ingest_text(text)
 
 
-def _rows(reader) -> Iterator[list[str]]:
-    """The reader's rows; a line the csv module cannot read raises MalformedRow naming it."""
+def ingest_text(text: str) -> MeasurementSeries:
+    """Parse and validate measurement CSV content.
+
+    A leading byte-order mark (as spreadsheet exports write) is dropped.
+    Blank lines and rows that do not parse as the right number of floats are
+    skipped and recorded in the series diagnostics; sign/range violations,
+    out-of-order time stamps and lines that cannot be read (a field over the
+    csv module's size limit: MalformedRow) are hard errors naming the
+    offending line.
+    """
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
     try:
-        yield from reader
+        header = next(reader, None)
+        if header is None:
+            raise MalformedHeader("empty input, expected a header line")
+        header = [h.strip() for h in header]
+        if tuple(header[: len(REQUIRED_COLUMNS)]) != REQUIRED_COLUMNS or len(header) > 4:
+            raise MalformedHeader(
+                "line 1: expected header time_s,f_dq,t2_star_s[,mt_ratio], "
+                f"got {','.join(header)!r}"
+            )
+        has_mt = len(header) == 4
+        if has_mt and header[3] != OPTIONAL_COLUMN:
+            raise MalformedHeader(
+                f"line 1: fourth column must be {OPTIONAL_COLUMN!r}, got {header[3]!r}"
+            )
+        n_fields = 4 if has_mt else 3
+
+        times, fdqs, t2s, mts = [], [], [], []
+        skipped: list[str] = []
+        for line_no, row in enumerate(reader, start=2):
+            if not "".join(row).strip():
+                skipped.append(f"line {line_no}: blank")
+                continue
+            if len(row) != n_fields:
+                skipped.append(f"line {line_no}: expected {n_fields} fields, got {len(row)}")
+                continue
+            try:
+                values = list(map(float, row))
+            except ValueError:
+                skipped.append(f"line {line_no}: non-numeric field")
+                continue
+            if not all(map(isfinite, values)):
+                name, value = next((n, v) for n, v in zip(header, values) if not isfinite(v))
+                raise NonFiniteValue(f"line {line_no}: {name} must be finite, got {value}")
+            t, f_dq, t2 = values[:3]
+            if f_dq < 0:
+                raise NegativeValue(f"line {line_no}: f_dq must be >= 0, got {f_dq}")
+            if t2 <= 0:
+                raise NegativeValue(f"line {line_no}: t2_star_s must be > 0, got {t2}")
+            if has_mt:
+                mt = values[3]
+                if not 0.0 <= mt <= 1.0:
+                    raise NegativeValue(
+                        f"line {line_no}: mt_ratio must lie in [0, 1], got {mt}"
+                    )
+                mts.append(mt)
+            if times and t <= times[-1]:
+                raise NonMonotonicTime(
+                    f"line {line_no}: time {t} does not increase past {times[-1]}"
+                )
+            times.append(t)
+            fdqs.append(f_dq)
+            t2s.append(t2)
     except csv.Error as exc:
         raise MalformedRow(f"line {reader.line_num}: {exc}") from None
-
-
-def _ingest_stream(stream: TextIO) -> MeasurementSeries:
-    reader = csv.reader(stream)
-    rows = _rows(reader)
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise MalformedHeader("empty input, expected a header line") from None
-    header = [h.strip() for h in header]
-    if tuple(header[: len(REQUIRED_COLUMNS)]) != REQUIRED_COLUMNS or len(header) > 4:
-        raise MalformedHeader(
-            f"line 1: expected header time_s,f_dq,t2_star_s[,mt_ratio], got {','.join(header)!r}"
-        )
-    has_mt = len(header) == 4
-    if has_mt and header[3] != OPTIONAL_COLUMN:
-        raise MalformedHeader(
-            f"line 1: fourth column must be {OPTIONAL_COLUMN!r}, got {header[3]!r}"
-        )
-    n_fields = 4 if has_mt else 3
-
-    times, fdqs, t2s, mts = [], [], [], []
-    skipped: list[str] = []
-    for line_no, row in enumerate(rows, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            skipped.append(f"line {line_no}: blank")
-            continue
-        if len(row) != n_fields:
-            skipped.append(f"line {line_no}: expected {n_fields} fields, got {len(row)}")
-            continue
-        try:
-            values = [float(cell) for cell in row]
-        except ValueError:
-            skipped.append(f"line {line_no}: non-numeric field")
-            continue
-        if not all(map(isfinite, values)):
-            name, value = next((n, v) for n, v in zip(header, values) if not isfinite(v))
-            raise NonFiniteValue(f"line {line_no}: {name} must be finite, got {value}")
-        t, f_dq, t2 = values[:3]
-        if f_dq < 0:
-            raise NegativeValue(f"line {line_no}: f_dq must be >= 0, got {f_dq}")
-        if t2 <= 0:
-            raise NegativeValue(f"line {line_no}: t2_star_s must be > 0, got {t2}")
-        if has_mt:
-            mt = values[3]
-            if not 0.0 <= mt <= 1.0:
-                raise NegativeValue(
-                    f"line {line_no}: mt_ratio must lie in [0, 1], got {mt}"
-                )
-            mts.append(mt)
-        if times and t <= times[-1]:
-            raise NonMonotonicTime(
-                f"line {line_no}: time {t} does not increase past {times[-1]}"
-            )
-        times.append(t)
-        fdqs.append(f_dq)
-        t2s.append(t2)
     return MeasurementSeries(
         times=times,
         f_dq=fdqs,
@@ -173,13 +174,7 @@ def _ingest_stream(stream: TextIO) -> MeasurementSeries:
     )
 
 
-def ingest_text(text: str) -> MeasurementSeries:
-    """`ingest` for in-memory CSV content."""
-    return _ingest_stream(io.StringIO(text))
-
-
-@dataclass(frozen=True)
-class GateResult:
+class GateResult(NamedTuple):
     """Outcome of the line-width stability gate."""
 
     status: GateStatus

@@ -1,9 +1,11 @@
-"""The verdict path runs on the standard library; no command loads scipy.
+"""The verdict path runs on a lean standard library; no command loads scipy.
 
-`import dqwitness`, `bounds` and `witness` load neither numpy nor scipy;
-`figure` loads numpy (and the simulation layers) on first use, and bath
-propagation still needs no scipy.  Each case runs in a fresh interpreter,
-because within the test session other tests have already imported both.
+`import dqwitness`, `bounds` and `witness` load neither numpy nor scipy, nor
+the stdlib `dataclasses` and `inspect` modules (which pull in `ast`, `dis`
+and `tokenize`); `figure` loads numpy (and the simulation layers) on first
+use, and bath propagation still needs no scipy.  Each case runs in a fresh
+interpreter, because within the test session other tests have already
+imported all of them.
 """
 
 import os
@@ -24,6 +26,7 @@ CSV = "time_s,f_dq,t2_star_s\n" + "".join(
 )
 
 LOADED = "'numpy' in sys.modules, 'scipy' in sys.modules"
+VERDICT_PATH_LOADED = LOADED + ", 'dataclasses' in sys.modules, 'inspect' in sys.modules"
 
 
 def run_fresh(code, cwd):
@@ -38,8 +41,8 @@ def run_fresh(code, cwd):
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):
-    code = f"import sys, dqwitness; print({LOADED})"
-    assert run_fresh(code, tmp_path) == ["False", "False"]
+    code = f"import sys, dqwitness; print({VERDICT_PATH_LOADED})"
+    assert run_fresh(code, tmp_path) == ["False"] * 4
 
 
 @pytest.mark.parametrize(
@@ -51,8 +54,8 @@ def test_import_leaves_scipy_unloaded(tmp_path):
 )
 def test_verdict_commands_leave_scipy_unloaded(tmp_path, argv, exit_code):
     (tmp_path / "series.csv").write_text(CSV)
-    code = f"import sys; from dqwitness.cli import main; print(main({argv!r}), {LOADED})"
-    assert run_fresh(code, tmp_path) == [str(exit_code), "False", "False"]
+    code = f"import sys; from dqwitness.cli import main; print(main({argv!r}), {VERDICT_PATH_LOADED})"
+    assert run_fresh(code, tmp_path) == [str(exit_code)] + ["False"] * 4
     assert (tmp_path / "out.json").read_text().startswith("{")
 
 

@@ -1,13 +1,19 @@
 """CSV ingestion contract and the line-width stability gate."""
 
+import copy
+import csv
+import io
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from dqwitness.bounds import PhysicalParams
 from dqwitness.errors import (
+    DqwitnessError,
     InsufficientRows,
     MalformedHeader,
     MalformedRow,
@@ -116,6 +122,22 @@ class TestIngest:
         path.write_bytes(b"\xef\xbb\xbftime_s,f_dq,t2_star_s\n0,0.01,0.045\n1,0.01,0.04\xff5\n")
         with pytest.raises(MalformedRow, match="line 3: byte 0xff is not UTF-8"):
             ingest(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\ufefftime_s,f_dq,t2_star_s\n0,0.01,0.045\n1,0.02,0.046\n",
+            "time_s,f_dq,t2_star_s\r0,0.01,0.045\r1,0.02,0.046\r",
+        ],
+        ids=["byte_order_mark", "cr_line_endings"],
+    )
+    def test_text_and_file_ingest_agree(self, tmp_path, text):
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode("utf-8"))
+        series = ingest_text(text)
+        assert series == ingest(path)
+        assert series.times == (0.0, 1.0) and series.t2_star == (0.045, 0.046)
+        assert series.skipped == ()
 
 
 class TestStabilityGate:
@@ -266,3 +288,226 @@ class TestSeriesConstructorValidation:
     def test_mt_ratio_outside_unit_interval_rejected(self, mt):
         with pytest.raises(NegativeValue, match="mt_ratio"):
             make_series([0.04] * 3, mt=[mt] * 3)
+
+
+def _reference_series(times, f_dq, t2_star, mt_ratio):
+    """The series contract checked value by value, in the constructor's order."""
+    columns = {"times": times, "f_dq": f_dq, "t2_star": t2_star, "mt_ratio": mt_ratio}
+    for name, column in columns.items():
+        for value in column or ():
+            if not math.isfinite(value):
+                raise NonFiniteValue(f"{name} must be finite, got {value}")
+    n = len(times)
+    if len(f_dq) != n or len(t2_star) != n or (mt_ratio is not None and len(mt_ratio) != n):
+        raise ValueError("column lengths differ")
+    if any(v < 0 for v in f_dq):
+        raise NegativeValue(f"f_dq must be >= 0, got {min(f_dq)}")
+    if any(v <= 0 for v in t2_star):
+        raise NegativeValue(f"t2_star must be > 0, got {min(t2_star)}")
+    if mt_ratio is not None and not all(0 <= v <= 1 for v in mt_ratio):
+        raise NegativeValue("mt_ratio must lie in [0, 1]")
+    if not all(a < b for a, b in zip(times, times[1:])):
+        raise NonMonotonicTime("times must be strictly increasing")
+    mt_ratio = None if mt_ratio is None else tuple(mt_ratio)
+    return tuple(times), tuple(f_dq), tuple(t2_star), mt_ratio, ()
+
+
+SERIES_VALUES = [0.5, 1.0] * 12 + [0.0, -0.0, -1.0, 1.5, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def series_columns(draw):
+    """Columns of mostly equal length and mostly valid values; times mostly increasing."""
+    n = draw(st.integers(0, 6))
+
+    def column():
+        size = draw(st.sampled_from([n] * 8 + [n + 1]))
+        return draw(st.lists(st.sampled_from(SERIES_VALUES), min_size=size, max_size=size))
+
+    times = [float(i) for i in range(n)]
+    if times and draw(st.booleans()):
+        times[draw(st.integers(0, n - 1))] = draw(st.sampled_from(SERIES_VALUES))
+    mt_ratio = column() if draw(st.booleans()) else None
+    return {"times": times, "f_dq": column(), "t2_star": column(), "mt_ratio": mt_ratio}
+
+
+class TestSeriesConstructorAgainstReference:
+    @given(columns=series_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_same_columns_or_same_error(self, columns):
+        want = _outcome(lambda c: _reference_series(**c), columns)
+        assert _outcome(lambda c: MeasurementSeries(**c), columns) == want
+
+
+class TestRecords:
+    """The validated records are immutable values: equal, hashable and picklable by field."""
+
+    RECORDS = [
+        PhysicalParams.tissue_defaults,
+        lambda: MeasurementSeries([0.0, 1.0], [0.02, 0.15], [0.04, 0.04], [0.5, 0.5], ("line 3: blank",)),
+    ]
+
+    @pytest.mark.parametrize("build", RECORDS, ids=["PhysicalParams", "MeasurementSeries"])
+    def test_value_semantics(self, build):
+        record = build()
+        assert record == build() and hash(record) == hash(build())
+        assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+        assert eval(repr(record)) == record
+        name = record.__slots__[0]
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, 1.0)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1.0
+        assert record != tuple(getattr(record, field) for field in record.__slots__)
+
+    def test_fields_are_compared(self):
+        series = make_series([0.04, 0.04, 0.04])
+        assert series != make_series([0.04, 0.04, 0.05])
+        assert series != make_series([0.04, 0.04, 0.04], mt=[0.5, 0.5, 0.5])
+
+
+def _reference_ingest(text):
+    """Independent row loop: a generator hop per row, per-cell parsing and blank test.
+
+    Returns the columns and skip diagnostics that `ingest_text` should hold.
+    """
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+
+    def rows_of(reader):
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise MalformedRow(f"line {reader.line_num}: {exc}") from None
+
+    rows = rows_of(reader)
+    try:
+        header = next(rows)
+    except StopIteration:
+        raise MalformedHeader("empty input, expected a header line") from None
+    header = [h.strip() for h in header]
+    if tuple(header[:3]) != ("time_s", "f_dq", "t2_star_s") or len(header) > 4:
+        raise MalformedHeader(
+            f"line 1: expected header time_s,f_dq,t2_star_s[,mt_ratio], got {','.join(header)!r}"
+        )
+    has_mt = len(header) == 4
+    if has_mt and header[3] != "mt_ratio":
+        raise MalformedHeader(f"line 1: fourth column must be 'mt_ratio', got {header[3]!r}")
+    n_fields = 4 if has_mt else 3
+    times, fdqs, t2s, mts, skipped = [], [], [], [], []
+    for line_no, row in enumerate(rows, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            skipped.append(f"line {line_no}: blank")
+            continue
+        if len(row) != n_fields:
+            skipped.append(f"line {line_no}: expected {n_fields} fields, got {len(row)}")
+            continue
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            skipped.append(f"line {line_no}: non-numeric field")
+            continue
+        for name, value in zip(header, values):
+            if not math.isfinite(value):
+                raise NonFiniteValue(f"line {line_no}: {name} must be finite, got {value}")
+        t, f_dq, t2 = values[:3]
+        if f_dq < 0:
+            raise NegativeValue(f"line {line_no}: f_dq must be >= 0, got {f_dq}")
+        if t2 <= 0:
+            raise NegativeValue(f"line {line_no}: t2_star_s must be > 0, got {t2}")
+        if has_mt:
+            if not 0.0 <= values[3] <= 1.0:
+                raise NegativeValue(f"line {line_no}: mt_ratio must lie in [0, 1], got {values[3]}")
+            mts.append(values[3])
+        if times and t <= times[-1]:
+            raise NonMonotonicTime(f"line {line_no}: time {t} does not increase past {times[-1]}")
+        times.append(t)
+        fdqs.append(f_dq)
+        t2s.append(t2)
+    return tuple(times), tuple(fdqs), tuple(t2s), tuple(mts) if has_mt else None, tuple(skipped)
+
+
+def _outcome(parse, source):
+    """The parsed columns and diagnostics, or the exception's type and message."""
+    try:
+        result = parse(source)
+    except (DqwitnessError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, MeasurementSeries):
+        return result.times, result.f_dq, result.t2_star, result.mt_ratio, result.skipped
+    return result
+
+
+# Mostly valid cells, each with a few contract breakers mixed in.
+F_DQ_CELLS = ["0.02"] * 40 + ["0.15", "0", "-0.0", "-0.01", "1e308"]
+T2_CELLS = ["0.045"] * 40 + ["0.044", "1e-300", "0", "-0.045"]
+MT_CELLS = ["0.3"] * 40 + ["0", "1", "1.2", "-0.1"]
+TIME_STEPS = [1] * 40 + [2, 0, -1]
+ROW_EDITS = [None] * 24 + [
+    "blank", "spaces", "junk", "short", "long", "non_finite", "quoted",
+    "quoted_cr", "quoted_newline", "bare_cr", "open_quote", "huge",
+]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text with blank, junk, quoted, CR-split, non-finite, negative,
+    out-of-range and non-monotonic rows under a valid or broken header."""
+    has_mt = draw(st.booleans())
+    columns = "time_s,f_dq,t2_star_s" + (",mt_ratio" if has_mt else "")
+    header = draw(st.sampled_from([
+        *[columns] * 8, "\ufeff" + columns, " " + columns.replace(",", " , "),
+        '"time_s","f_dq","t2_star_s"', "time_s,f_dq", "time_s,f_dq,t2_star_s,bogus", "",
+    ]))
+    lines, t = [header], draw(st.integers(-2, 2))
+    for _ in range(draw(st.integers(0, 16))):
+        t += draw(st.sampled_from(TIME_STEPS))
+        cells = [str(t), draw(st.sampled_from(F_DQ_CELLS)), draw(st.sampled_from(T2_CELLS))]
+        if has_mt:
+            cells.append(draw(st.sampled_from(MT_CELLS)))
+        edit = draw(st.sampled_from(ROW_EDITS))
+        at = draw(st.integers(0, len(cells) - 1))
+        if edit == "blank":
+            cells = [""]
+        elif edit == "spaces":
+            cells = [" "] * len(cells)
+        elif edit == "junk":
+            cells[at] = draw(st.sampled_from(["x", "1.0.0", "0x1", "--1"]))
+        elif edit == "short":
+            cells.pop()
+        elif edit == "long":
+            cells.append("0")
+        elif edit == "non_finite":
+            cells[at] = draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "1e999"]))
+        elif edit == "quoted":
+            cells = [f'"{cell}"' for cell in cells]
+        elif edit == "quoted_cr":
+            cells[at] = f'"{cells[at]}\r"'
+        elif edit == "quoted_newline":
+            cells[at] = f'"{cells[at]}\n1"'
+        elif edit == "bare_cr":
+            cells[at] += "\r5"
+        elif edit == "open_quote":
+            cells[at] = '"' + cells[at]
+        elif edit == "huge":
+            cells[at] = "0" * 131073
+        lines.append(",".join(cells))
+    newlines = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                             max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, newlines))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+class TestIngestAgainstReferenceLoop:
+    @given(text=csv_texts())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_series_or_same_error(self, tmp_path, text):
+        want = _outcome(_reference_ingest, text)
+        assert _outcome(ingest_text, text) == want
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(ingest, path) == want
+        if not isinstance(want[0], type):
+            assert ingest(path) == ingest_text(text)

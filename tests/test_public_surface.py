@@ -10,7 +10,8 @@ from dqwitness.cli import build_parser
 MODULES = ("algebra", "dynamics", "thermal", "bounds", "measurement", "cli")
 
 # Public keyword parameters with defaults, `**kwargs` included: every public
-# function, public method and dataclass field of the six modules.
+# function, public method, constructor (a class's own `__init__` or
+# `__new__`), dataclass field and NamedTuple field of the six modules.
 KNOBS = {
     "algebra.OperatorMatrix.label",
     "algebra.SectorBasis.coherence_orders",
@@ -61,6 +62,11 @@ def _public_knobs() -> set[str]:
                             or f.default_factory is not dataclasses.MISSING
                         )
                     )
+                knobs.update(f"{short}.{name}.{f}" for f in getattr(obj, "_field_defaults", ()))
+                for attr in ("__init__", "__new__"):
+                    member = vars(obj).get(attr)
+                    if inspect.isfunction(member):
+                        knobs.update(f"{short}.{name}.{p}" for p in _defaulted(member))
                 for attr, member in vars(obj).items():
                     if attr.startswith("_"):
                         continue
