@@ -46,7 +46,6 @@ _EXPORTS = {
         "epsilon_th",
         "eta_seq",
         "f_class_max",
-        "fractional_amplitude",
         "normalized_spectral_density",
         "witness",
     ),
@@ -59,7 +58,6 @@ _EXPORTS = {
         "fit_log_slope",
         "hyperbolic_signal",
         "propagate",
-        "vacuum_state",
     ),
     "measurement": (
         "GateResult",
@@ -79,7 +77,6 @@ _EXPORTS = {
         "ceiling_scan",
         "default_thermal_model",
         "evolve_master",
-        "gibbs_state",
         "pair_correlation",
         "relative_entropy",
         "secular_dipolar_hamiltonian",

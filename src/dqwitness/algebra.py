@@ -32,7 +32,6 @@ from .errors import (
 TWO_SPIN_DIM = 4
 
 GRAM_CONDITION_LIMIT = 1e10
-HERMITIAN_TOL = 1e-12  # OperatorMatrix.is_hermitian, relative
 COHERENCE_TOL = 1e-10  # coherence_order commutator residual, relative
 REAL_PART_TOL = 1e-10  # real_structure_constants, relative to the largest constant
 CLOSURE_TOL = 1e-8  # largest closure_residual the classifiers accept
@@ -60,12 +59,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T, label=self.label + "^dag")
-
-    def is_hermitian(self) -> bool:
-        return _deviation_from(self.entries, self.entries.conj().T) <= HERMITIAN_TOL
 
 
 def _deviation_from(a: np.ndarray, b: np.ndarray) -> float:

@@ -275,19 +275,6 @@ def witness(
     )
 
 
-def fractional_amplitude(s_dq: float, m0: float) -> float:
-    """Fractional amplitude from a raw pair signal and its calibration scale.
-
-    Both must be finite (NonFiniteValue otherwise).
-    """
-    _require_finite(s_dq=s_dq, m0=m0)
-    if m0 <= 0:
-        raise ValueError("calibration magnetization must be positive")
-    if s_dq < 0:
-        raise NegativeAmplitude(f"raw signal must be >= 0, got {s_dq}")
-    return s_dq / m0
-
-
 def _require_finite(**values: float) -> None:
     for name, value in values.items():
         if not isfinite(value):

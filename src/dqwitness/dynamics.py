@@ -3,12 +3,15 @@
 The flip-flop sector exchanges population at a fixed frequency and every
 expectation stays bounded; the pair-raising sector, realized on a truncated
 lowest-weight ladder, produces the hyperbolic vacuum signal
-s(t) = 2k sinh^2(g t).  Propagation is spectral and exact: an eigendecomposition
-of the (Hermitian) two-spin generator, and one singular value decomposition of
-the ladder generator's even-to-odd block, since every ladder element moves the
-level by exactly one (Golub & Kahan 1965).  There is no step-size tolerance to
-track; the only controlled approximation is the ladder truncation, sized once
-from the closed-form tail of the vacuum's coherent-state orbit (Perelomov 1972).
+s(t) = 2k sinh^2(g t).  The ladder is held as its index and top level
+(Su11Rep); its generator is built from the closed-form matrix elements only
+when a signal is solved, never as dense operator matrices.  Propagation is
+spectral and exact: an eigendecomposition of the (Hermitian) two-spin
+generator, and one singular value decomposition of the ladder generator's
+even-to-odd block, since every ladder element moves the level by exactly one
+(Golub & Kahan 1965).  There is no step-size tolerance to track; the only
+controlled approximation is the ladder truncation, sized once from the
+closed-form tail of the vacuum's coherent-state orbit (Perelomov 1972).
 """
 
 from __future__ import annotations
@@ -150,35 +153,37 @@ def propagate(
 
 @dataclass(frozen=True)
 class Su11Rep:
-    """Truncated lowest-weight ladder representation.
+    """Lowest-weight ladder representation with index k, truncated at level n_max.
 
     K0 is diagonal with entries n + k for n = 0..n_max, <n+1|K+|n> =
-    sqrt((n+1)(n+2k)) and K- = K+^dag.  On the lower n_max x n_max block the
-    measured bracket is [K-, K+] = +2 K0 exactly; truncation effects are
-    confined to the top level.
+    sqrt((n+1)(n+2k)) and K- = K+^dag (see _ladder_elements); on the lower
+    n_max x n_max block [K-, K+] = +2 K0 exactly.  Construction checks, in
+    order: k finite (NonFiniteValue) and positive (InvalidBargmannIndex),
+    n_max >= 2 (TruncationTooSmall) and n_max <= DEFAULT_TRUNCATION_LIMIT
+    (TruncationExceeded); every instance is valid.
     """
 
     k: float
     n_max: int
-    k_plus: OperatorMatrix
-    k_minus: OperatorMatrix
-    k_zero: OperatorMatrix
 
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
+    def __post_init__(self):
+        if not isfinite(self.k):
+            raise NonFiniteValue(f"index must be finite, got {self.k}")
+        if self.k <= 0:
+            raise InvalidBargmannIndex(f"index must be positive, got {self.k}")
+        if self.n_max < 2:
+            raise TruncationTooSmall(f"need n_max >= 2, got {self.n_max}")
+        if self.n_max > DEFAULT_TRUNCATION_LIMIT:
+            raise TruncationExceeded(
+                f"n_max {self.n_max} exceeds DEFAULT_TRUNCATION_LIMIT {DEFAULT_TRUNCATION_LIMIT}"
+            )
+        object.__setattr__(self, "k", float(self.k))
+        object.__setattr__(self, "n_max", int(self.n_max))
 
 
 def _ladder_elements(k: float, n_max: int) -> np.ndarray:  # <n+1|K+|n>, n = 0..n_max-1
     n = np.arange(n_max, dtype=float)
     return np.sqrt((n + 1.0) * (n + 2.0 * k))
-
-
-def _refuse_oversized(n_max: int) -> None:
-    if n_max > DEFAULT_TRUNCATION_LIMIT:
-        raise TruncationExceeded(
-            f"n_max {n_max} exceeds DEFAULT_TRUNCATION_LIMIT {DEFAULT_TRUNCATION_LIMIT}"
-        )
 
 
 def _ladder_populations(a: np.ndarray, tgrid: np.ndarray) -> np.ndarray:
@@ -209,31 +214,8 @@ def _ladder_populations(a: np.ndarray, tgrid: np.ndarray) -> np.ndarray:
 
 
 def build_su11_rep(k: float, n_max: int) -> Su11Rep:
-    """Ladder matrices of the lowest-weight representation with index k.
-
-    n_max above DEFAULT_TRUNCATION_LIMIT raises TruncationExceeded before any
-    matrix is built.
-    """
-    if not isfinite(k):
-        raise NonFiniteValue(f"index must be finite, got {k}")
-    if k <= 0:
-        raise InvalidBargmannIndex(f"index must be positive, got {k}")
-    if n_max < 2:
-        raise TruncationTooSmall(f"need n_max >= 2, got {n_max}")
-    _refuse_oversized(n_max)
-    k0 = np.diag(np.arange(n_max + 1) + k).astype(complex)
-    kp = np.diag(_ladder_elements(k, n_max), -1).astype(complex)
-    return Su11Rep(
-        k=float(k),
-        n_max=int(n_max),
-        k_plus=OperatorMatrix(kp, label="K+"),
-        k_minus=OperatorMatrix(kp.conj().T, label="K-"),
-        k_zero=OperatorMatrix(k0, label="K0"),
-    )
-
-
-def vacuum_state(rep: Su11Rep) -> StateVector:
-    return StateVector.basis_state(rep.dim, 0)
+    """The representation with index k truncated at n_max; Su11Rep checks both."""
+    return Su11Rep(k, n_max)
 
 
 def _coherent_top_index(k: float, gt: float) -> int:
@@ -270,7 +252,6 @@ def hyperbolic_signal(rep: Su11Rep, g: float, times: Sequence[float]) -> Traject
     if tgrid[0] < 0:
         raise ValueError("times must be non-negative")
     n_max = max(rep.n_max, _coherent_top_index(rep.k, abs(g) * float(tgrid[-1])))
-    _refuse_oversized(n_max)
     populations = _ladder_populations(g * _ladder_elements(rep.k, n_max), tgrid)
     signal = np.arange(n_max + 1) @ populations  # <K0> - k without the cancellation
     tail_max = float(populations[-1].max())

@@ -107,7 +107,8 @@ def ingest_text(text: str) -> MeasurementSeries:
     skipped and recorded in the series diagnostics; sign/range violations,
     out-of-order time stamps and lines that cannot be read (a field over the
     csv module's size limit: MalformedRow) are hard errors naming the
-    offending line.
+    offending line.  Every message counts physical lines, so a record whose
+    quoted field spans lines is named by the line it ends on.
     """
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
     try:
@@ -129,7 +130,8 @@ def ingest_text(text: str) -> MeasurementSeries:
 
         times, fdqs, t2s, mts = [], [], [], []
         skipped: list[str] = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num
             if not "".join(row).strip():
                 skipped.append(f"line {line_no}: blank")
                 continue

@@ -204,11 +204,6 @@ def _check_kms_pairs(terms: Sequence[JumpTerm], beta: float) -> None:
         )
 
 
-def gibbs_state(h_system: OperatorMatrix, beta: float) -> DensityMatrix:
-    """exp(-beta hbar H)/Z via eigendecomposition; beta in 1/J, H in rad/s."""
-    return LindbladModel(OperatorMatrix(as_matrix(h_system)), (), beta).gibbs()
-
-
 def build_davies_model(
     h_system: OperatorMatrix,
     couplings: Sequence[tuple[OperatorMatrix, float]],

@@ -13,7 +13,6 @@ from dqwitness.bounds import (
     epsilon_th,
     eta_seq,
     f_class_max,
-    fractional_amplitude,
     normalized_spectral_density,
     witness,
 )
@@ -178,17 +177,6 @@ class TestWitness:
         assert report.verdict == expected
 
 
-class TestAmplitudeCalibration:
-    def test_ratio(self):
-        assert fractional_amplitude(0.3, 2.0) == pytest.approx(0.15)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            fractional_amplitude(0.3, 0.0)
-        with pytest.raises(NegativeAmplitude):
-            fractional_amplitude(-0.3, 2.0)
-
-
 class TestParameterValidation:
     def test_positive_fields_enforced(self):
         with pytest.raises(ValueError):
@@ -209,14 +197,6 @@ class TestNonFiniteInputs:
         values[field] = value
         with pytest.raises(NonFiniteValue, match=field):
             PhysicalParams(**values)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("position", [0, 1])
-    def test_fractional_amplitude_rejects_non_finite_input(self, value, position):
-        args = [0.1, 1.0]
-        args[position] = value
-        with pytest.raises(NonFiniteValue):
-            fractional_amplitude(*args)
 
     @pytest.mark.parametrize("temperature", [1e-320, 5e-324])
     def test_epsilon_th_names_an_underflowing_temperature(self, temperature):

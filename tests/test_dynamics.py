@@ -1,6 +1,6 @@
 """Closed-system propagation: bounded exchange vs hyperbolic ladder growth."""
 
-import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +11,13 @@ from dqwitness import dynamics
 from dqwitness.algebra import OperatorMatrix, build_two_spin_operators, commutator
 from dqwitness.dynamics import (
     StateVector,
+    Su11Rep,
     Trajectory,
     build_su11_rep,
     classify_growth,
     fit_log_slope,
     hyperbolic_signal,
     propagate,
-    vacuum_state,
 )
 from dqwitness.errors import (
     AmbiguousGrowth,
@@ -104,23 +104,26 @@ class TestPropagate:
             propagate(ops["K0"], StateVector.basis_state(3, 0), [0.0], [ops["K0"]])
 
 
+def ladder_matrices(rep):
+    """Dense (K+, K-, K0) of the truncated representation, from its closed-form elements."""
+    k_plus = np.diag(dynamics._ladder_elements(rep.k, rep.n_max), -1).astype(complex)
+    k_zero = np.diag(np.arange(rep.n_max + 1) + rep.k).astype(complex)
+    return k_plus, k_plus.conj().T, k_zero
+
+
 class TestLadderRepresentation:
     def test_weight_diagonal(self):
-        rep = build_su11_rep(0.5, 4)
-        np.testing.assert_allclose(
-            np.diag(rep.k_zero.entries).real, [0.5, 1.5, 2.5, 3.5, 4.5], atol=1e-15
-        )
+        _, _, k_zero = ladder_matrices(build_su11_rep(0.5, 4))
+        np.testing.assert_allclose(np.diag(k_zero).real, [0.5, 1.5, 2.5, 3.5, 4.5], atol=1e-15)
 
     def test_ladder_matrix_element(self):
-        rep = build_su11_rep(0.25, 8)
-        assert rep.k_plus.entries[1, 0].real == pytest.approx(np.sqrt(0.5), abs=1e-12)
-        np.testing.assert_allclose(
-            rep.k_minus.entries, rep.k_plus.entries.conj().T, atol=1e-15
-        )
+        k_plus, k_minus, _ = ladder_matrices(build_su11_rep(0.25, 8))
+        assert k_plus[1, 0].real == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        np.testing.assert_allclose(k_minus, k_plus.conj().T, atol=1e-15)
 
     def test_bracket_exact_on_interior_block(self):
-        rep = build_su11_rep(0.5, 64)
-        delta = commutator(rep.k_minus, rep.k_plus) - 2.0 * rep.k_zero.entries
+        k_plus, k_minus, k_zero = ladder_matrices(build_su11_rep(0.5, 64))
+        delta = commutator(k_minus, k_plus) - 2.0 * k_zero
         assert np.abs(delta[:64, :64]).max() < 1e-12
         # the defect is confined to the top level
         assert abs(delta[64, 64]) > 1.0
@@ -130,10 +133,29 @@ class TestLadderRepresentation:
             build_su11_rep(0.0, 8)
         with pytest.raises(InvalidBargmannIndex):
             build_su11_rep(-1.0, 8)
+        # a hand-built representation is checked on construction, before any solve
+        with pytest.raises(InvalidBargmannIndex, match="got 0.0"):
+            Su11Rep(0.0, 64)
 
     def test_truncation_too_small_rejected(self):
         with pytest.raises(TruncationTooSmall):
             build_su11_rep(0.5, 1)
+        with pytest.raises(TruncationTooSmall):
+            Su11Rep(0.5, 1)
+
+    def test_fields_are_stored_as_float_and_int(self):
+        rep = build_su11_rep(np.float32(0.5), np.int64(64))
+        assert rep == Su11Rep(0.5, 64)
+        assert type(rep.k) is float and type(rep.n_max) is int
+
+    def test_no_dense_matrices_are_built(self):
+        tracemalloc.start()
+        try:
+            build_su11_rep(0.5, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestHyperbolicSignal:
@@ -180,10 +202,9 @@ class TestHyperbolicSignal:
     def test_oversized_ladder_refused_before_any_decomposition(self, eigensolves):
         with pytest.raises(TruncationExceeded, match="n_max 4097"):
             build_su11_rep(0.5, 4097)
-        # a hand-built representation reaches the same check in hyperbolic_signal
-        rep = dataclasses.replace(build_su11_rep(0.5, 4), n_max=4097)
+        # a hand-built representation meets the same check on construction
         with pytest.raises(TruncationExceeded, match="n_max 4097"):
-            hyperbolic_signal(rep, 1.0, [0.0, 1.0])
+            Su11Rep(0.5, 4097)
         assert eigensolves == []
 
     @pytest.mark.parametrize("n_max", [64, 65])
@@ -332,12 +353,6 @@ class TestStateAndTrajectoryInvariants:
         with pytest.raises(ValueError):
             StateVector(np.array([1.0, 1.0]))
 
-    def test_vacuum_state(self):
-        rep = build_su11_rep(0.5, 4)
-        vac = vacuum_state(rep)
-        assert vac.dim == 5
-        assert vac.amplitudes[0] == 1.0
-
     def test_times_must_increase(self):
         with pytest.raises(ValueError):
             Trajectory(
@@ -399,6 +414,9 @@ class TestNonFiniteInputs:
     def test_ladder_index_must_be_finite(self, value):
         with pytest.raises(NonFiniteValue):
             build_su11_rep(value, 8)
+        # a hand-built representation is checked on construction, before any solve
+        with pytest.raises(NonFiniteValue, match="index must be finite"):
+            Su11Rep(value, 64)
 
     def test_ladder_coupling_must_be_finite(self, eigensolves, value):
         rep = build_su11_rep(0.5, 64)

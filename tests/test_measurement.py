@@ -106,6 +106,14 @@ class TestIngest:
         with pytest.raises(MalformedRow, match=f"line {line}:"):
             ingest_text("\n".join(rows) + "\n")
 
+    def test_lines_are_counted_past_a_multi_line_field(self):
+        # the quoted field spans lines 2-3, so the bad row sits on physical line 4
+        text = 'time_s,f_dq,t2_star_s\n0,"0.02\n",0.045\n1,-1,0.045\n'
+        with pytest.raises(NegativeValue, match="^line 4: f_dq must be >= 0"):
+            ingest_text(text)
+        rows = 'time_s,f_dq,t2_star_s\n0,"0.02\n",0.045\n\n1,x,0.045\n2,0.02,0.045\n'
+        assert ingest_text(rows).skipped == ("line 4: blank", "line 5: non-numeric field")
+
     def test_path_input(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("time_s,f_dq,t2_star_s\n0,0.01,0.045\n1,0.01,0.045\n")
@@ -396,7 +404,8 @@ def _reference_ingest(text):
         raise MalformedHeader(f"line 1: fourth column must be 'mt_ratio', got {header[3]!r}")
     n_fields = 4 if has_mt else 3
     times, fdqs, t2s, mts, skipped = [], [], [], [], []
-    for line_no, row in enumerate(rows, start=2):
+    for row in rows:
+        line_no = reader.line_num  # physical line the record ends on
         if not row or all(not cell.strip() for cell in row):
             skipped.append(f"line {line_no}: blank")
             continue

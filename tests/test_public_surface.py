@@ -1,11 +1,28 @@
-"""The public surface is pinned: a new knob or subcommand needs an edit here."""
+"""The public surface is pinned: a new export, knob or subcommand needs an edit here."""
 
 import argparse
 import dataclasses
 import importlib
 import inspect
 
+import dqwitness
 from dqwitness.cli import build_parser
+
+# Names re-exported at package level.
+EXPORTS = {
+    "AdjointSpectrum", "CeilingScanResult", "ClassicalBound", "DensityMatrix",
+    "GateResult", "JumpTerm", "KillingClassification", "LindbladModel",
+    "MeasurementSeries", "OpenTrajectory", "OperatorMatrix", "PhysicalParams",
+    "SectorBasis", "StateVector", "Su11Rep", "Trajectory", "WitnessReport",
+    "abstract_basis", "apply_liouvillian", "build_davies_model", "build_su11_rep",
+    "build_two_spin_operators", "ceiling_scan", "classify_growth", "coherence_order",
+    "commutator", "default_thermal_model", "dipolar_energy", "epsilon_th", "eta_seq",
+    "evolve_master", "f_class_max", "fit_log_slope", "heisenberg_flow_spectrum",
+    "hermitian_triple", "hyperbolic_signal", "ingest", "ingest_text", "killing_classify",
+    "measure_structure_constants", "normalized_spectral_density", "pair_correlation",
+    "propagate", "relative_entropy", "secular_dipolar_hamiltonian", "stability_gate",
+    "triple_kappa", "witness", "zeeman_hamiltonian",
+}
 
 MODULES = ("algebra", "dynamics", "thermal", "bounds", "measurement", "cli")
 
@@ -80,6 +97,11 @@ def _public_knobs() -> set[str]:
 def test_public_keyword_parameters_with_defaults():
     assert _public_knobs() == KNOBS
     assert len(KNOBS) == 18
+
+
+def test_package_exports():
+    assert set(dqwitness.__all__) == EXPORTS
+    assert len(EXPORTS) == 49
 
 
 def test_subcommands():

@@ -30,7 +30,6 @@ from dqwitness.thermal import (
     default_thermal_model,
     evolve_master,
     expm,
-    gibbs_state,
     pair_correlation,
     relative_entropy,
     secular_dipolar_hamiltonian,
@@ -66,12 +65,12 @@ def khz_model():
 
 class TestGibbsState:
     def test_infinite_temperature_is_maximally_mixed(self, ops):
-        rho = gibbs_state(zeeman_hamiltonian(TWO_PI * 400e6), 0.0)
+        rho = LindbladModel(zeeman_hamiltonian(TWO_PI * 400e6), (), 0.0).gibbs()
         np.testing.assert_allclose(rho.entries, np.eye(4) / 4.0, atol=1e-14)
 
     def test_zeeman_population_ratio(self):
         omega0 = TWO_PI * 400e6
-        rho = gibbs_state(zeeman_hamiltonian(omega0), BETA_310)
+        rho = LindbladModel(zeeman_hamiltonian(omega0), (), BETA_310).gibbs()
         pops = np.diag(rho.entries).real
         ratio = pops[0] / pops[1]  # uu over ud, adjacent Zeeman levels
         assert ratio == pytest.approx(math.exp(-BETA_310 * HBAR * omega0), rel=1e-12)
@@ -86,20 +85,20 @@ class TestGibbsState:
         evals, evecs = np.linalg.eigh(h.entries)
         gap = evals[1] - evals[0]
         beta = 35.0 / (HBAR * gap)
-        rho = gibbs_state(h, beta)
+        rho = LindbladModel(h, (), beta).gibbs()
         ground = evecs[:, 0]
         fidelity = float(np.vdot(ground, rho.entries @ ground).real)
         assert fidelity > 1.0 - 1e-10
 
     def test_commutes_with_generator(self):
         h = zeeman_hamiltonian(TWO_PI * 400e6)
-        rho = gibbs_state(h, BETA_310)
+        rho = LindbladModel(h, (), BETA_310).gibbs()
         residual = np.linalg.norm(h.entries @ rho.entries - rho.entries @ h.entries)
         assert residual / np.linalg.norm(h.entries) < 1e-10
 
     def test_non_hermitian_rejected(self, ops):
         with pytest.raises(NonHermitianGenerator):
-            gibbs_state(ops["K+"], BETA_310)
+            LindbladModel(ops["K+"], (), BETA_310).gibbs()
 
 
 class TestDaviesConstruction:
@@ -446,7 +445,7 @@ class TestNonFiniteInputs:
 
     def test_gibbs_state_rejects_non_finite_beta(self, value):
         with pytest.raises(NonFiniteValue):
-            gibbs_state(zeeman_hamiltonian(TWO_PI * 400e6), value)
+            LindbladModel(zeeman_hamiltonian(TWO_PI * 400e6), (), value).gibbs()
 
     def test_lindblad_model_rejects_non_finite_rate(self, ops, value):
         h = zeeman_hamiltonian(TWO_PI * 100.0)
