@@ -178,21 +178,17 @@ def coherence_order(op: OperatorMatrix) -> int:
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """Ordered operator basis with its measured structure constants.
+    """Structure constants of an ordered basis and how well the basis closes.
 
     `structure_constants[i, j, k]` is the coefficient of element k in
     [e_i, e_j].  `closure_residual` is the worst out-of-span part of any
     commutator relative to max(1, ||[e_i, e_j]||_F), so it does not grow
-    with the scale of the basis.  For an abstract basis (built from the
-    defining bracket relations rather than matrices) `elements` is None and
-    only the constants and labels are populated.
+    with the scale of the basis; it is 0.0 for an abstract basis, built
+    from the defining brackets rather than from matrices.
     """
 
     structure_constants: np.ndarray
     closure_residual: float
-    elements: tuple[OperatorMatrix, ...] | None = None
-    labels: tuple[str, ...] = ()
-    coherence_orders: tuple[int | None, ...] | None = None
 
     def __post_init__(self):
         c = np.array(self.structure_constants, dtype=complex)
@@ -204,8 +200,6 @@ class SectorBasis:
             raise ValueError(f"structure constants not antisymmetric ({anti:.3e})")
         c.flags.writeable = False
         object.__setattr__(self, "structure_constants", c)
-        if self.elements is not None and len(self.elements) != n:
-            raise ValueError("element count does not match constant array")
 
     @property
     def size(self) -> int:
@@ -255,26 +249,7 @@ def measure_structure_constants(
             worst = max(worst, float(np.linalg.norm(outside)) / scale)
 
     c = (c - np.swapaxes(c, 0, 1)) / 2.0  # commutator antisymmetry, exact
-    orders: list[int | None] = []
-    for e in elements:
-        try:
-            orders.append(coherence_order(e) if dim == TWO_SPIN_DIM else None)
-        except NotEigenoperator:
-            orders.append(None)
-    labels = tuple(
-        e.label if isinstance(e, OperatorMatrix) and e.label else f"e{i}"
-        for i, e in enumerate(elements)
-    )
-    return SectorBasis(
-        structure_constants=c,
-        closure_residual=worst,
-        elements=tuple(
-            e if isinstance(e, OperatorMatrix) else OperatorMatrix(e)
-            for e in elements
-        ),
-        labels=labels,
-        coherence_orders=tuple(orders),
-    )
+    return SectorBasis(structure_constants=c, closure_residual=worst)
 
 
 def hermitian_triple(
@@ -302,7 +277,7 @@ def abstract_basis(kind: AbstractKind) -> SectorBasis:
     triple ordered (X1, X2, X0); they differ only in [X1, X2] = i*kappa*X0.
     `su2` (ladder bracket [A-, A+] = -2 A0) gives kappa = +1;
     `su11` (ladder bracket [K-, K+] = +2 K0) gives kappa = -1.
-    No matrix representation is involved.
+    No matrix representation is involved, so the closure residual is 0.0.
     """
     if kind == "su2":
         kappa = 1.0
@@ -319,14 +294,7 @@ def abstract_basis(kind: AbstractKind) -> SectorBasis:
     f[x1, x0, x2] = -1.0
     f[x0, x2, x1] = -1.0
     f[x2, x0, x1] = 1.0
-    orders = (0, 0, 0) if kind == "su2" else None
-    return SectorBasis(
-        structure_constants=1j * f,
-        closure_residual=0.0,
-        elements=None,
-        labels=("X1", "X2", "X0"),
-        coherence_orders=orders,
-    )
+    return SectorBasis(structure_constants=1j * f, closure_residual=0.0)
 
 
 def real_structure_constants(basis: SectorBasis) -> np.ndarray:

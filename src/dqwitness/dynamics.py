@@ -65,6 +65,9 @@ class StateVector:
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "StateVector":
+        """Unit vector on level `index`; ValueError unless 0 <= index < dim."""
+        if not 0 <= index < dim:
+            raise ValueError(f"basis index {index} must lie in [0, dim) for dim = {dim}")
         v = np.zeros(dim, dtype=complex)
         v[index] = 1.0
         return cls(v)
@@ -124,9 +127,10 @@ def propagate(
     """Unitary evolution |psi(t)> = exp(-iHt)|psi(0)> via eigendecomposition.
 
     H is in rad/s and times in seconds.  Expectation values <psi(t)|O|psi(t)>
-    are reported per observable, keyed by the observable's label.  Raises
-    NonHermitianGenerator / DimensionMismatch on bad inputs, and rejects a bad
-    time grid before the eigendecomposition (see Trajectory).
+    are reported per observable, keyed by the observable's label (op<i> when
+    it has none).  Raises NonHermitianGenerator / DimensionMismatch on bad
+    inputs, and rejects a bad time grid (see Trajectory) or a repeated label
+    (ValueError) before the eigendecomposition.
     """
     h = as_matrix(hamiltonian)
     _check_hermitian(h)
@@ -137,14 +141,16 @@ def propagate(
     obs = [as_matrix(o) for o in observables]
     if any(o.shape != (dim, dim) for o in obs):
         raise DimensionMismatch("observable dimension differs from generator")
-
-    states = _spectral_states(h, psi0.amplitudes, tgrid)
-    values = [np.sum(states.conj() * (o @ states), axis=0) for o in obs]
-
     labels = [
         ob.label if isinstance(ob, OperatorMatrix) and ob.label else f"op{i}"
         for i, ob in enumerate(observables)
     ]
+    repeated = next((lab for i, lab in enumerate(labels) if lab in labels[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"observable label {repeated!r} is repeated")
+
+    states = _spectral_states(h, psi0.amplitudes, tgrid)
+    values = [np.sum(states.conj() * (o @ states), axis=0) for o in obs]
     series = {}
     for lab, row in zip(labels, values):
         series[lab] = row.real if np.abs(row.imag).max(initial=0.0) < 1e-10 else row

@@ -308,16 +308,18 @@ class OpenTrajectory:
 
 
 def _dissipator_superop(eig_jumps, rates, dim) -> np.ndarray:
-    """Row-major vectorized dissipator sum gamma (A . A^dag - {A^dag A, .}/2)."""
+    """Row-major vectorized dissipator sum gamma (A . A^dag - {A^dag A, .}/2), in closed form.
+
+    The jump part sum gamma A (x) A* is one contraction over the stacked
+    channels; the anticommutator needs only M = sum gamma A^dag A, as
+    -(M (x) I + I (x) M^T)/2.  A model without channels gives the zero matrix.
+    """
+    a = np.array(eig_jumps, dtype=complex).reshape(-1, dim, dim)
+    ga = np.asarray(rates, dtype=float)[:, None, None] * a
+    m = np.einsum("cki,ckj->ij", a.conj(), ga)
+    jumps = np.einsum("cij,ckl->ikjl", ga, a.conj()).reshape(dim * dim, dim * dim)
     eye = np.eye(dim)
-    d_super = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for a, rate in zip(eig_jumps, rates):
-        ada = a.conj().T @ a
-        d_super += rate * (
-            np.kron(a, a.conj())
-            - 0.5 * (np.kron(ada, eye) + np.kron(eye, ada.T))
-        )
-    return d_super
+    return jumps - 0.5 * (np.kron(m, eye) + np.kron(eye, m.T))
 
 
 def expm(a: np.ndarray) -> np.ndarray:

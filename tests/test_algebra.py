@@ -84,6 +84,9 @@ class TestCoherenceOrder:
     def test_single_spin_raising(self, ops):
         assert coherence_order(ops["I1+"]) == 1
 
+    def test_flip_flop_triple_is_order_zero(self, ops):
+        assert [coherence_order(ops[n]) for n in ("S+", "S-", "S0")] == [0, 0, 0]
+
     def test_mixed_order_operator_rejected(self, ops):
         with pytest.raises(NotEigenoperator):
             coherence_order(ops["I1x"])
@@ -97,7 +100,7 @@ class TestMeasuredConstants:
         np.testing.assert_allclose(c[2, 0], [1, 0, 0], atol=1e-12)  # [S0, S+] = S+
         np.testing.assert_allclose(c[2, 1], [0, -1, 0], atol=1e-12)  # [S0, S-] = -S-
         np.testing.assert_allclose(c[1, 0], [0, 0, -2], atol=1e-12)  # [S-, S+] = -2 S0
-        assert basis.coherence_orders == (0, 0, 0)
+        assert [coherence_order(ops[n]) for n in ("S+", "S-", "S0")] == [0, 0, 0]
 
     def test_pair_triple_measures_opposite_sign(self, ops):
         # the concrete 4x4 pair triple closes with [K-, K+] = -2 K0,
@@ -106,7 +109,7 @@ class TestMeasuredConstants:
         assert basis.closure_residual < 1e-12
         np.testing.assert_allclose(basis.structure_constants[1, 0], [0, 0, -2], atol=1e-12)
         np.testing.assert_allclose(basis.structure_constants[2, 0], [1, 0, 0], atol=1e-12)
-        assert basis.coherence_orders == (2, -2, 0)
+        assert [coherence_order(ops[n]) for n in ("K+", "K-", "K0")] == [2, -2, 0]
 
     def test_single_diagonal_element_is_abelian(self, ops):
         basis = measure_structure_constants([ops["K0"]])

@@ -96,6 +96,13 @@ class TestPropagate:
         with pytest.raises(NonHermitianGenerator):
             propagate(ops["K+"], StateVector.basis_state(4, 0), [0.0, 1.0], [ops["K0"]])
 
+    def test_repeated_label_rejected_before_eigensolve(self, ops, eigensolves):
+        h = ops["S+"].entries + ops["S-"].entries
+        twin = OperatorMatrix(ops["I1z"].entries, label="S0")
+        with pytest.raises(ValueError, match="'S0' is repeated"):
+            propagate(h, StateVector.basis_state(4, 1), [0.0, 1.0], [ops["S0"], twin])
+        assert eigensolves == []
+
     def test_dimension_mismatch_rejected(self, ops):
         small = OperatorMatrix(np.eye(3), label="eye3")
         with pytest.raises(DimensionMismatch):
@@ -352,6 +359,11 @@ class TestStateAndTrajectoryInvariants:
     def test_state_norm_enforced(self):
         with pytest.raises(ValueError):
             StateVector(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_basis_index_outside_the_levels_rejected(self, index):
+        with pytest.raises(ValueError, match=f"basis index {index} .* dim = 4"):
+            StateVector.basis_state(4, index)
 
     def test_times_must_increase(self):
         with pytest.raises(ValueError):

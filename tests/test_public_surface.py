@@ -31,9 +31,6 @@ MODULES = ("algebra", "dynamics", "thermal", "bounds", "measurement", "cli")
 # `__new__`), dataclass field and NamedTuple field of the six modules.
 KNOBS = {
     "algebra.OperatorMatrix.label",
-    "algebra.SectorBasis.coherence_orders",
-    "algebra.SectorBasis.elements",
-    "algebra.SectorBasis.labels",
     "bounds.f_class_max.gate_status",
     "cli.main.argv",
     "cli.run_witness.cv_threshold",
@@ -96,7 +93,7 @@ def _public_knobs() -> set[str]:
 
 def test_public_keyword_parameters_with_defaults():
     assert _public_knobs() == KNOBS
-    assert len(KNOBS) == 18
+    assert len(KNOBS) == 15
 
 
 def test_package_exports():

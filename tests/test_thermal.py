@@ -2,6 +2,7 @@
 
 import logging
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -360,6 +361,40 @@ PROPAGATOR_MODELS = {
     "criterion6": (TWO_PI * 400e6, TWO_PI * 10e3, 310.0),
     "degenerate": (TWO_PI * 5e3, TWO_PI * 10e3, 310.0),  # omega0 = omega_d/2: two levels at 0
 }
+
+
+def _per_channel_superop(model):
+    """Textbook row-major dissipator: one Kronecker sum per eigenbasis channel."""
+    v, dim = model._evecs, model.dim
+    eye = np.eye(dim)
+    d = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for term in model.jump_terms:
+        a = v.conj().T @ term.operator.entries @ v
+        ada = a.conj().T @ a
+        d += term.rate * (np.kron(a, a.conj()) - 0.5 * (np.kron(ada, eye) + np.kron(eye, ada.T)))
+    return d
+
+
+def _zeeman_bath(coupling):
+    return build_davies_model(zeeman_hamiltonian(TWO_PI * 1e3), [(coupling, 1.0)], BETA_310)
+
+
+_OPS = build_two_spin_operators()
+SUPEROP_MODELS = {
+    **{name: partial(default_thermal_model, *args) for name, args in PROPAGATOR_MODELS.items()},
+    "dephasing": partial(_zeeman_bath, _OPS["I1z"]),
+    # I1x + I2y gives a complex sum of A^dag A, so the transpose in I (x) M^T matters
+    "mixed_phase": partial(_zeeman_bath, _OPS["I1x"].entries + _OPS["I2y"].entries),
+    "no_channels": partial(LindbladModel, zeeman_hamiltonian(TWO_PI * 1e3), (), BETA_310),
+}
+
+
+@pytest.mark.parametrize("build", SUPEROP_MODELS.values(), ids=SUPEROP_MODELS)
+def test_superoperator_matches_per_channel_sum(build):
+    model = build()
+    reference = _per_channel_superop(model)
+    deviation = np.linalg.norm(model._d_super - reference)
+    assert deviation <= 1e-14 * np.linalg.norm(reference)
 
 
 class TestKmsPropagator:
